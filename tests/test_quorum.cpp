@@ -10,12 +10,12 @@
 // the pick functions' exclusion/preference contract, and compares minimal
 // quorum sizes against the majority baseline ⌈(N+1)/2⌉.
 //
-// The second half guards the protocol integration: --quorum majority is
-// bit-identical to the seed protocol (the geometry machinery must be
-// invisible when off), every geometry survives end-to-end runs including
-// crash-driven quorum re-selection, the geometry decision rule behaves as
-// documented, and the model checker both exhausts small geometry spaces
-// violation-free and catches the seeded SplitQuorum mutant.
+// The second half guards the protocol integration: every geometry survives
+// end-to-end runs including crash-driven quorum re-selection, the geometry
+// decision rule behaves as documented, and the model checker both exhausts
+// small geometry spaces violation-free and catches the seeded SplitQuorum
+// mutant. The exact-count pins of every session mode live in
+// test_golden.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -383,84 +383,6 @@ TEST(SplitQuorumMutant, FakesCoverageWithDisjointHalves) {
 }
 
 }  // namespace core_test
-
-// ---------- golden equivalence: majority is the seed, bit for bit ----------
-
-void expect_identical_runs(const runner::RunResult& a,
-                           const runner::RunResult& b) {
-  EXPECT_EQ(a.generated, b.generated);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.successful_writes, b.successful_writes);
-  EXPECT_EQ(a.failed_writes, b.failed_writes);
-  EXPECT_EQ(a.reads, b.reads);
-  EXPECT_EQ(a.alt_ms, b.alt_ms);
-  EXPECT_EQ(a.att_ms, b.att_ms);
-  EXPECT_EQ(a.client_latency_ms, b.client_latency_ms);
-  EXPECT_EQ(a.att_p99_ms, b.att_p99_ms);
-  EXPECT_EQ(a.prk, b.prk);
-  EXPECT_EQ(a.net_stats.messages_sent, b.net_stats.messages_sent);
-  EXPECT_EQ(a.net_stats.bytes_sent, b.net_stats.bytes_sent);
-  EXPECT_EQ(a.agent_stats.migrations_started, b.agent_stats.migrations_started);
-  EXPECT_EQ(a.agent_stats.migration_bytes, b.agent_stats.migration_bytes);
-  EXPECT_EQ(a.mutex_violations, b.mutex_violations);
-  EXPECT_EQ(a.marp_stats.anomalies.total(), b.marp_stats.anomalies.total());
-  EXPECT_EQ(a.marp_stats.quorum_reselections,
-            b.marp_stats.quorum_reselections);
-  EXPECT_EQ(a.consistent, b.consistent);
-}
-
-TEST(GoldenEquivalence, ExplicitMajorityMatchesSeedOnPaperLiteral) {
-  // The paper-literal deployment: N = 5, two contending writers per batch.
-  // An explicit --quorum majority must replay the default config down to
-  // every virtual timestamp and byte — the geometry machinery may not
-  // perturb the seed protocol at all.
-  for (std::uint64_t seed : {1, 7, 42}) {
-    runner::ExperimentConfig defaulted;
-    defaulted.servers = 5;
-    defaulted.protocol = runner::ProtocolKind::Marp;
-    defaulted.seed = seed;
-    defaulted.workload.mean_interarrival_ms = 40.0;
-    defaulted.workload.write_fraction = 0.8;
-    defaulted.workload.duration = sim::SimTime::seconds(2);
-    defaulted.marp.batch_size = 2;
-    defaulted.marp.read_mode = core::ReadMode::QuorumAgent;
-
-    runner::ExperimentConfig explicit_majority = defaulted;
-    explicit_majority.marp.quorum.geometry = Geometry::Majority;
-
-    const runner::RunResult a = runner::run_experiment(defaulted);
-    const runner::RunResult b = runner::run_experiment(explicit_majority);
-    EXPECT_TRUE(a.consistent);
-    EXPECT_GT(a.successful_writes, 0u);
-    expect_identical_runs(a, b);
-  }
-}
-
-TEST(GoldenEquivalence, ExplicitMajorityMatchesSeedOnShardedRegression) {
-  // The PR-1 sharding regression config: 8 lock groups, multi-key writes.
-  runner::ExperimentConfig defaulted;
-  defaulted.servers = 5;
-  defaulted.protocol = runner::ProtocolKind::Marp;
-  defaulted.seed = 3;
-  defaulted.marp.num_lock_groups = 8;
-  defaulted.marp.batch_size = 2;
-  defaulted.workload.mean_interarrival_ms = 20.0;
-  defaulted.workload.num_keys = 16;
-  defaulted.workload.writes_per_update = 2;
-  defaulted.workload.duration = sim::SimTime::seconds(2);
-  defaulted.workload.max_requests_per_server = 20;
-  defaulted.drain = sim::SimTime::seconds(120);
-
-  runner::ExperimentConfig explicit_majority = defaulted;
-  explicit_majority.marp.quorum.geometry = Geometry::Majority;
-
-  const runner::RunResult a = runner::run_experiment(defaulted);
-  const runner::RunResult b = runner::run_experiment(explicit_majority);
-  EXPECT_TRUE(a.consistent);
-  EXPECT_GT(a.successful_writes, 0u);
-  EXPECT_EQ(a.failed_writes, 0u);
-  expect_identical_runs(a, b);
-}
 
 // ---------- end-to-end geometry runs ----------
 
