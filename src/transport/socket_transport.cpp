@@ -184,7 +184,7 @@ void SocketTransport::start(Receiver receiver) {
                                   : config_.peers.size() + 8;
   pool_ = std::make_unique<ThreadPool>(threads);
   running_.store(true);
-  pool_->submit([this] { accept_loop(); });
+  accept_done_ = pool_->submit([this] { accept_loop(); });
 }
 
 void SocketTransport::stop() {
@@ -195,6 +195,10 @@ void SocketTransport::stop() {
   // recv(). Outbound conns have no reader and are closed here.
   const int listen_fd = listen_fd_.load();
   if (listen_fd >= 0) ::shutdown(listen_fd, SHUT_RDWR);
+  // The accept task may be registering a connection it has just accepted
+  // and submitting its reader: let it finish before sweeping the inbound
+  // connections and tearing the pool down.
+  if (accept_done_.valid()) accept_done_.wait();
   {
     std::lock_guard<std::mutex> lock(inbound_mutex_);
     for (const ConnPtr& conn : inbound_conns_) shutdown_conn(conn);

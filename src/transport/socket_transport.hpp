@@ -29,6 +29,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -154,6 +155,9 @@ class SocketTransport final : public NodeTransport {
   SocketTransportConfig config_;
   Receiver receiver_;
   std::unique_ptr<ThreadPool> pool_;
+  /// Ready once accept_loop() has returned; from then on no task adds an
+  /// inbound connection or submits to pool_.
+  std::future<void> accept_done_;
   std::atomic<bool> running_{false};
   std::atomic<int> listen_fd_{-1};
 

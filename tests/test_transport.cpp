@@ -5,9 +5,12 @@
 // the discrete-event simulator computes.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -446,6 +449,47 @@ TEST(SocketTransport, MovesFramesBothWaysOverUds) {
 
   a.stop();
   b.stop();
+}
+
+TEST(SocketTransport, StopWhileAPeerKeepsDialingIsClean) {
+  // stop() once nulled pool_ before joining its workers while accept_loop
+  // could still hand a just-accepted connection to pool_->submit. Restart
+  // one transport over and over while another thread keeps dialing it, so
+  // accepts land right in that window.
+  TempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const auto endpoints = local_uds_cluster(dir.path(), 1);
+  SocketTransportConfig config = uds_config(endpoints, 0);
+  config.reader_threads = 2;
+  SocketTransport transport(config);
+
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s",
+                endpoints[0].path.c_str());
+  std::atomic<bool> dialing{true};
+  std::thread dialer([&] {
+    while (dialing.load()) {
+      const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      if (fd < 0) continue;
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
+      ::close(fd);
+    }
+  });
+  // At least 1000 cycles and enough accepts to have hit the window, bounded
+  // in time.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  int cycles = 0;
+  while ((cycles < 1000 || transport.stats().accepts < 20) &&
+         std::chrono::steady_clock::now() < deadline) {
+    transport.start([](rpc::Frame&&, NodeTransport::ReplyFn) {});
+    transport.stop();
+    ++cycles;
+  }
+  dialing.store(false);
+  dialer.join();
+  EXPECT_GE(cycles, 1000);
+  EXPECT_GE(transport.stats().accepts, 20u);
 }
 
 TEST(SocketTransport, MovesFramesOverTcpLoopback) {
