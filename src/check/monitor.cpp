@@ -4,7 +4,6 @@
 
 #include "marp/priority.hpp"
 #include "marp/server.hpp"
-#include "membership/mapped_quorum.hpp"
 #include "runner/consistency.hpp"
 
 namespace marp::check {
@@ -25,8 +24,7 @@ InvariantMonitor::InvariantMonitor(core::MarpProtocol& protocol,
     : protocol_(protocol),
       platform_(platform),
       network_(network),
-      config_(std::move(config)),
-      quorum_(quorum::make_quorum_system(config_.quorum, config_.servers)) {}
+      config_(std::move(config)) {}
 
 void InvariantMonitor::install() {
   chained_probe_ = protocol_.phase_probe();
@@ -45,22 +43,32 @@ void InvariantMonitor::flag(std::string problem) {
 void InvariantMonitor::on_phase(const core::PhaseEvent& event) {
   if (event.phase == core::ProtocolPhase::UpdateQuorum &&
       config_.strict_agreement) {
-    if (protocol_.membership_enabled()) {
-      check_quorum_intersection_membership(event);
-    } else if (quorum_->geometry() == quorum::Geometry::Majority) {
+    // Quorum-restricted and partial-replication tours give agents partial
+    // views on purpose, so "everyone elects the same winner" holds only
+    // under the paper's own full-tour electorate; elsewhere what must hold
+    // is that only grant sets containing a true write quorum reach the
+    // milestone. (Both are gated: a server can grant and then crash,
+    // shrinking the live grant set below coverage.)
+    if (protocol_.view_history().back()->electorate(0).counts_votes()) {
       check_quorum_agreement(event);
     } else {
-      // Quorum-restricted tours give agents partial views on purpose, so
-      // "everyone elects the same winner" no longer holds; what must hold
-      // is that only grant sets containing a true write quorum reach the
-      // milestone. (Gated like the agreement check: a server can grant and
-      // then crash, shrinking the live grant set below coverage.)
       check_quorum_intersection(event);
     }
   }
   // Run the checks *before* forwarding, so a fault injector chained behind
   // us perturbs the state only after it has been judged.
   if (chained_probe_) chained_probe_(event);
+}
+
+quorum::NodeSet InvariantMonitor::grants_of(const agent::AgentId& agent,
+                                            shard::GroupId g) const {
+  quorum::NodeSet grants;
+  for (net::NodeId node = 0; node < config_.servers; ++node) {
+    if (!network_.node_up(node)) continue;
+    const auto& holder = protocol_.server(node).update_holder(g);
+    if (holder && *holder == agent) grants.push_back(node);
+  }
+  return grants;
 }
 
 void InvariantMonitor::check_quorum_agreement(const core::PhaseEvent& event) {
@@ -74,13 +82,7 @@ void InvariantMonitor::check_quorum_agreement(const core::PhaseEvent& event) {
     // Did this quorum cover group g? A quorum in g means a majority of
     // servers granted g to the agent — grants are set before ACKs are sent,
     // so at the (synchronous) milestone the holders already reflect it.
-    std::size_t grants = 0;
-    for (net::NodeId node = 0; node < config_.servers; ++node) {
-      if (!network_.node_up(node)) continue;
-      const auto& holder = protocol_.server(node).update_holder(g);
-      if (holder && *holder == event.agent) ++grants;
-    }
-    if (2 * grants <= config_.servers) continue;  // no quorum in this group
+    if (2 * grants_of(event.agent, g).size() <= config_.servers) continue;
 
     // Theorem 1/2: the unmutated priority rule, applied with perfect
     // information (the real Locking Lists, the real commit set), must elect
@@ -115,54 +117,24 @@ void InvariantMonitor::check_quorum_agreement(const core::PhaseEvent& event) {
 
 void InvariantMonitor::check_quorum_intersection(const core::PhaseEvent& event) {
   for (shard::GroupId g = 0; g < config_.lock_groups; ++g) {
-    quorum::NodeSet grants;
-    for (net::NodeId node = 0; node < config_.servers; ++node) {
-      if (!network_.node_up(node)) continue;
-      const auto& holder = protocol_.server(node).update_holder(g);
-      if (holder && *holder == event.agent) grants.push_back(node);
-    }
-    if (grants.empty()) continue;  // group not part of this agent's claim
-    if (!quorum_->write_covered(grants)) {
-      std::ostringstream os;
-      os << "Theorem 2 intersection violation: " << agent_str(event.agent)
-         << " assembled an update quorum in group " << g
-         << " but its grant set {";
-      for (std::size_t i = 0; i < grants.size(); ++i) {
-        os << (i ? "," : "") << grants[i];
-      }
-      os << "} contains no true write quorum of the "
-         << quorum::geometry_name(quorum_->geometry()) << " geometry";
-      flag(os.str());
-      return;
-    }
-  }
-}
-
-void InvariantMonitor::check_quorum_intersection_membership(
-    const core::PhaseEvent& event) {
-  for (shard::GroupId g = 0; g < config_.lock_groups; ++g) {
-    quorum::NodeSet grants;
-    for (net::NodeId node = 0; node < config_.servers; ++node) {
-      if (!network_.node_up(node)) continue;
-      const auto& holder = protocol_.server(node).update_holder(g);
-      if (holder && *holder == event.agent) grants.push_back(node);
-    }
+    const quorum::NodeSet grants = grants_of(event.agent, g);
     if (grants.empty()) continue;  // group not part of this agent's claim
 
+    const auto& views = protocol_.view_history();
     bool covered = false;
-    for (const membership::MembershipView& view : protocol_.view_history()) {
+    for (const auto& view : views) {
+      const membership::Electorate& electorate = view->electorate(g);
       // Grant state on a crashed or retired replica was destroyed, not
       // released: count those replicas as granting so churn straddling the
       // milestone cannot shrink a legitimate quorum into a false alarm.
       quorum::NodeSet candidate = grants;
-      for (const net::NodeId node : view.replicas_of(g)) {
+      for (const net::NodeId node : electorate.replicas()) {
         if (!network_.node_up(node) || protocol_.server(node).retired()) {
           candidate.push_back(node);
         }
       }
-      const membership::MappedQuorum mapped(config_.quorum,
-                                            view.replicas_of(g));
-      if (mapped.write_covered(quorum::make_node_set(std::move(candidate)))) {
+      if (electorate.quorum().write_covered(
+              quorum::make_node_set(std::move(candidate)))) {
         covered = true;
         break;
       }
@@ -175,8 +147,10 @@ void InvariantMonitor::check_quorum_intersection_membership(
       for (std::size_t i = 0; i < grants.size(); ++i) {
         os << (i ? "," : "") << grants[i];
       }
-      os << "} covers no write quorum of group " << g
-         << "'s replica geometry in any recorded membership view";
+      const quorum::Geometry geometry =
+          views.back()->electorate(g).quorum().geometry();
+      os << "} covers no write quorum of group " << g << "'s "
+         << quorum::geometry_name(geometry) << " electorate in any recorded view";
       flag(os.str());
       return;
     }
@@ -281,24 +255,15 @@ void InvariantMonitor::final_checks(const std::vector<bool>& eligible,
   for (net::NodeId node = 0; node < config_.servers; ++node) {
     stores.push_back(&protocol_.server(node).store());
   }
-  runner::ConsistencyReport report;
-  if (protocol_.membership_enabled()) {
-    // Scoped convergence: only replicas hosting a key's group under the
-    // final view must agree on it. Leavers keep frozen stores and spares
-    // hold nothing — both exempt; a joiner that never finished catch-up
-    // shows up here as a hosting replica missing its group's keys.
-    const membership::MembershipView& final_view = protocol_.current_view();
-    report = runner::check_scoped_convergence(
-        stores, eligible, protocol_.router(),
-        [&](std::size_t i, shard::GroupId g) {
-          const net::NodeId node = static_cast<net::NodeId>(i);
-          return network_.node_up(node) && final_view.hosts(node, g) &&
-                 !protocol_.server(node).retired() &&
-                 protocol_.server(node).view().epoch == final_view.epoch;
-        });
-  } else {
-    report = runner::check_convergence(stores, eligible);
-  }
+  // Scoped convergence: only replicas owing a key's group under the final
+  // view must agree on it. Leavers keep frozen stores and spares hold
+  // nothing — both exempt; a joiner that never finished catch-up shows up
+  // here as a hosting replica missing its group's keys.
+  runner::ConsistencyReport report = runner::check_convergence(
+      stores, eligible, [&](std::size_t i, const std::string& key) {
+        const net::NodeId node = static_cast<net::NodeId>(i);
+        return network_.node_up(node) && protocol_.owes_copy(node, key);
+      });
   for (std::size_t i = 0; i < stores.size(); ++i) {
     report.merge(runner::check_monotonic_history(*stores[i], i));
   }

@@ -6,10 +6,14 @@
 // on any agent's possibly-stale view:
 //
 // * Theorem 1/2 (agreement + unique top priority): whenever an agent
-//   assembles an update quorum, the unmutated priority rule applied to the
-//   real per-server Locking Lists must elect exactly that agent. Checked
-//   synchronously at the UpdateQuorum milestone via the phase probe, and
-//   continuously through the protocol's own dual-majority counter.
+//   assembles an update quorum under the paper's own electorate (the static
+//   majority, where every tour is full), the unmutated priority rule applied
+//   to the real per-server Locking Lists must elect exactly that agent.
+//   Under every other electorate agents see partial views on purpose, and
+//   what must hold is that the agent's grants cover a true write quorum of
+//   the group's electorate in some recorded view. Checked synchronously at
+//   the UpdateQuorum milestone via the phase probe, and continuously
+//   through the protocol's own competing-quorum counter.
 // * Order preservation: the commit log stays strictly version-ordered per
 //   lock group and per key (checked incrementally, so a violation is
 //   attributed to the exact step that committed out of order).
@@ -36,10 +40,6 @@ struct MonitorConfig {
   std::size_t servers = 3;
   std::size_t lock_groups = 1;
   std::size_t expected_outcomes = 0;
-  /// Quorum geometry of the checked deployment. The monitor builds its own
-  /// UNMUTATED quorum system from this — a seeded SplitQuorum mutant changes
-  /// what the agents do, never what the oracle accepts.
-  quorum::QuorumSpec quorum;
   /// Every submitted request must be answered by the end of the run
   /// (off for lossy fault plans, where crashes may eat requests).
   bool expect_completion = true;
@@ -77,19 +77,18 @@ class InvariantMonitor final : public agent::PlatformObserver {
 
  private:
   void on_phase(const core::PhaseEvent& event);
+  /// Live servers whose grant of group `g` `agent` holds, ascending.
+  quorum::NodeSet grants_of(const agent::AgentId& agent, shard::GroupId g) const;
   void check_quorum_agreement(const core::PhaseEvent& event);
-  /// Geometry form of the Theorem-2 check: the milestone agent's grant set
-  /// must contain a true write quorum (intersection-based mutual exclusion;
-  /// replaces the majority-count + ground-truth-election check, which
-  /// assumes every agent sees the full tour).
+  /// (group, epoch)-scoped Theorem-2 check: the milestone agent's grant set
+  /// must contain a write quorum of the group's electorate in at least one
+  /// recorded view (intersection-based mutual exclusion). The electorates'
+  /// geometries are the protocol's own, never mutated — a seeded
+  /// SplitQuorum mutant changes what the agents do, not what the oracle
+  /// accepts. Replicas whose grant state was destroyed rather than released
+  /// (crashed, or retired by a leave) count as wildcards, so churn can hide
+  /// a violation but never fabricate one.
   void check_quorum_intersection(const core::PhaseEvent& event);
-  /// (group, epoch)-scoped Theorem-2 check for dynamic-membership runs: the
-  /// milestone agent's grant set must contain a write quorum of the group's
-  /// replica geometry in at least one recorded view. Replicas whose grant
-  /// state was destroyed rather than released (crashed, or retired by a
-  /// leave) count as wildcards, so churn can hide a violation but never
-  /// fabricate one.
-  void check_quorum_intersection_membership(const core::PhaseEvent& event);
   void check_commit_log_order();
   void flag(std::string problem);
 
@@ -97,8 +96,6 @@ class InvariantMonitor final : public agent::PlatformObserver {
   agent::AgentPlatform& platform_;
   net::Network& network_;
   MonitorConfig config_;
-  /// Unmutated geometry oracle (never null).
-  std::unique_ptr<const quorum::QuorumSystem> quorum_;
   core::MarpProtocol::PhaseProbe chained_probe_;
   std::map<agent::AgentId, std::uint64_t> migrations_;
   std::size_t commit_log_checked_ = 0;

@@ -137,7 +137,6 @@ CheckScenario::CheckScenario(const ScenarioConfig& config) : config_(config) {
   MonitorConfig mon;
   mon.servers = config.servers;
   mon.lock_groups = config.lock_groups;
-  mon.quorum = config.quorum;
   mon.expected_outcomes = config.agents;
   // Crashes eat buffered requests and in-flight agents; a full-loss window
   // can strand a REPORT. Either way completion accounting must relax, and

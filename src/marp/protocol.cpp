@@ -30,14 +30,6 @@ MarpProtocol::MarpProtocol(net::Network& network, agent::AgentPlatform& platform
   if (!platform_.registry().contains(kReadAgentType)) {
     platform_.registry().register_type<ReadAgent>(kReadAgentType);
   }
-  servers_.reserve(network_.size());
-  for (net::NodeId node = 0; node < network_.size(); ++node) {
-    servers_.push_back(
-        std::make_unique<MarpServer>(network_, platform_, node, config_, *this));
-    MarpServer* server = servers_.back().get();
-    platform_.set_app_handler(
-        node, [server](const net::Message& message) { server->handle_message(message); });
-  }
   if (config_.membership.enabled()) {
     MARP_REQUIRE_MSG(config_.votes.empty(),
                      "weighted voting and dynamic membership are exclusive");
@@ -45,13 +37,25 @@ MarpProtocol::MarpProtocol(net::Network& network, agent::AgentPlatform& platform
     if (members == 0 || members > network_.size()) members = network_.size();
     std::vector<net::NodeId> active(members);
     std::iota(active.begin(), active.end(), net::NodeId{0});
-    const membership::MembershipView initial = membership::make_view(
-        1, std::move(active), config_.membership.replication_factor,
-        config_.num_lock_groups, &network_.topology());
-    views_.push_back(initial);
-    // Every node — spares included — starts knowing the initial view, so a
-    // later join only has to move the epoch forward, never bootstrap it.
-    for (auto& server : servers_) server->install_view(initial);
+    views_.push_back(membership::install_view(
+        membership::make_view(1, std::move(active),
+                              config_.membership.replication_factor,
+                              config_.num_lock_groups, &network_.topology()),
+        config_.quorum));
+  } else {
+    // A static deployment is the degenerate epoch-0 view: every group's
+    // electorate is the whole cluster under its own geometry.
+    views_.push_back(membership::install_static(quorum_, config_.num_lock_groups));
+  }
+  // Every node — spares included — starts knowing the initial view, so a
+  // later join only has to move the epoch forward, never bootstrap it.
+  servers_.reserve(network_.size());
+  for (net::NodeId node = 0; node < network_.size(); ++node) {
+    servers_.push_back(std::make_unique<MarpServer>(network_, platform_, node,
+                                                    config_, *this, views_.front()));
+    MarpServer* server = servers_.back().get();
+    platform_.set_app_handler(
+        node, [server](const net::Message& message) { server->handle_message(message); });
   }
 }
 
@@ -119,88 +123,35 @@ void MarpProtocol::note_anomaly(Anomaly kind) {
 
 void MarpProtocol::note_update_quorum(const agent::AgentId& agent,
                                       const std::vector<shard::GroupId>& groups,
-                                      net::NodeId node, std::uint64_t epoch) {
-  // Per group: count its grant holders across live servers; a *different*
-  // agent holding a majority of the same group at the same instant would
-  // break Theorem 2 (groups are independent, so only same-group holders
-  // compete).
+                                      net::NodeId node) {
+  // Grants are exclusive per (server, group), so holder grant sets are
+  // disjoint: a competing holder whose grants cover a write quorum means two
+  // disjoint write quorums exist, i.e. intersection failed. Testing every
+  // recorded view also catches a grant set assembled across epochs. Crashed
+  // servers drop out of every set, which only makes coverage harder, so this
+  // cannot false-positive.
   const std::vector<shard::GroupId> checked =
       groups.empty() ? std::vector<shard::GroupId>{0} : groups;
-  if (config_.membership.enabled()) {
-    // (group, epoch)-scoped form: grant-holder sets are tested against the
-    // per-group replica geometry of every recorded view. A legitimate
-    // winner's competitors can never cover a write quorum in *any* view
-    // (grants are exclusive per server and quorums of one view intersect);
-    // a mixed-epoch grant set assembled by the MixedEpoch mutant covers the
-    // group's quorum in at least one of the views it straddles.
-    (void)epoch;
-    for (const shard::GroupId g : checked) {
-      std::map<agent::AgentId, std::vector<net::NodeId>> held;
-      for (const auto& server : servers_) {
-        if (server->up() && server->update_holder(g)) {
-          held[*server->update_holder(g)].push_back(server->node());
-        }
-      }
-      for (const auto& [holder, nodes] : held) {
-        if (holder == agent) continue;
-        const quorum::NodeSet grant_set = quorum::make_node_set(nodes);
-        for (const membership::MembershipView& view : views_) {
-          const membership::MappedQuorum mapped(config_.quorum,
-                                                view.replicas_of(g));
-          if (mapped.write_covered(grant_set)) {
-            ++stats_.mutex_violations;
-            MARP_LOG_ERROR("marp")
-                << "mutual exclusion violated in group " << g << " epoch "
-                << view.epoch << ": " << holder.to_string() << " and "
-                << agent.to_string() << " both hold write quorums";
-            break;
-          }
-        }
-      }
-    }
-    if (tracer_) tracer_->quorum_win(agent, node);
-    if (phase_probe_) phase_probe_({ProtocolPhase::UpdateQuorum, agent, node});
-    return;
-  }
-  const quorum::QuorumSystem* geometry = decision_quorum();
   for (const shard::GroupId g : checked) {
-    if (geometry == nullptr) {
-      // Seed form: a competing holder on more than half the live servers.
-      std::map<agent::AgentId, std::size_t> held;
-      for (const auto& server : servers_) {
-        if (server->up() && server->update_holder(g)) {
-          ++held[*server->update_holder(g)];
-        }
-      }
-      for (const auto& [holder, count] : held) {
-        if (holder != agent && 2 * count > servers_.size()) {
-          ++stats_.mutex_violations;
-          MARP_LOG_ERROR("marp") << "mutual exclusion violated in group " << g
-                                 << ": " << holder.to_string() << " and "
-                                 << agent.to_string() << " both hold majorities";
-        }
-      }
-      continue;
-    }
-    // Geometry form: grants are exclusive per (server, group), so holder
-    // grant sets are disjoint — a competing holder whose grants contain a
-    // write quorum means two disjoint write quorums exist, i.e. the
-    // intersection property failed. Crashed servers drop out of every set,
-    // which only makes coverage harder, so this cannot false-positive.
-    std::map<agent::AgentId, quorum::NodeSet> held;
+    std::map<agent::AgentId, std::vector<net::NodeId>> held;
     for (const auto& server : servers_) {
       if (server->up() && server->update_holder(g)) {
         held[*server->update_holder(g)].push_back(server->node());
       }
     }
-    for (auto& [holder, nodes] : held) {
+    for (const auto& [holder, nodes] : held) {
       if (holder == agent) continue;
-      if (geometry->write_covered(quorum::make_node_set(std::move(nodes)))) {
-        ++stats_.mutex_violations;
-        MARP_LOG_ERROR("marp") << "mutual exclusion violated in group " << g
-                               << ": " << holder.to_string() << " and "
-                               << agent.to_string()
-                               << " both hold write quorums";
+      const quorum::NodeSet grant_set = quorum::make_node_set(nodes);
+      for (const auto& view : views_) {
+        const membership::Electorate& electorate = view->electorate(g);
+        if (electorate.quorum().write_covered(grant_set)) {
+          ++stats_.mutex_violations;
+          MARP_LOG_ERROR("marp")
+              << "mutual exclusion violated in group " << g << " epoch "
+              << electorate.epoch() << ": " << holder.to_string() << " and "
+              << agent.to_string() << " both hold write quorums";
+          break;
+        }
       }
     }
   }
@@ -235,27 +186,28 @@ void MarpProtocol::note_update_requeue(const agent::AgentId& agent) {
 }
 
 const membership::MembershipView& MarpProtocol::current_view() const {
-  MARP_REQUIRE(!views_.empty());
-  return views_.back();
+  return views_.back()->view;
 }
 
-const membership::MembershipView* MarpProtocol::view_at(
-    std::uint64_t epoch) const {
-  for (const membership::MembershipView& view : views_) {
-    if (view.epoch == epoch) return &view;
-  }
-  return nullptr;
+bool MarpProtocol::owes_copy(net::NodeId node, const std::string& key) const {
+  const MarpServer& holder = *servers_[node];
+  return views_.back()->electorate(router_.group_of(key)).hosts(node) &&
+         !holder.retired() && holder.epoch() == views_.back()->view.epoch;
 }
 
-void MarpProtocol::note_view_activated(const membership::MembershipView& view) {
+void MarpProtocol::note_view_activated(
+    std::shared_ptr<const membership::InstalledView> view) {
   // First activation of an epoch records it; later servers installing the
   // same view are catch-up, not new changes.
-  if (view_at(view.epoch) != nullptr) return;
-  MARP_REQUIRE(views_.empty() || view.epoch > views_.back().epoch);
-  views_.push_back(view);
+  const std::uint64_t epoch = view->view.epoch;
+  for (const auto& recorded : views_) {
+    if (recorded->view.epoch == epoch) return;
+  }
+  MARP_REQUIRE(epoch > views_.back()->view.epoch);
+  MARP_LOG_INFO("marp") << "view epoch " << epoch << " activated with "
+                        << view->view.active.size() << " members";
+  views_.push_back(std::move(view));
   ++stats_.view_changes;
-  MARP_LOG_INFO("marp") << "view epoch " << view.epoch << " activated with "
-                        << view.active.size() << " members";
 }
 
 bool MarpProtocol::begin_view_change(std::vector<net::NodeId> new_active) {

@@ -73,11 +73,11 @@ struct MarpStats {
   /// Times a multi-group agent broke a cross-group wait cycle by leaving
   /// every Locking List and re-queuing at the tails (see requeue_timeout).
   std::uint64_t lock_requeues = 0;
-  /// Times an agent reached a majority of update grants while another agent
-  /// also held a majority. Theorem 2 says this stays 0; tests assert it.
-  /// Under a non-majority quorum geometry, "majority" reads "write quorum":
-  /// two disjoint grant sets can only both cover write quorums if the
-  /// geometry's intersection property is broken.
+  /// Times an agent assembled a write quorum of update grants in some lock
+  /// group while another agent's grants also covered a write quorum of that
+  /// group's electorate. Theorem 2 says this stays 0; tests assert it. Grant
+  /// sets are disjoint, so two covering ones exist only if quorum
+  /// intersection is broken.
   std::uint64_t mutex_violations = 0;
   /// Times an agent re-picked its candidate quorum after a member turned
   /// out crashed/partitioned (non-majority geometries only). Chaos sweeps
@@ -174,18 +174,16 @@ class MarpProtocol final : public replica::ReplicationProtocol {
   // ---- called by agents/servers ----
   void note_update_attempt(const agent::AgentId& agent,
                            net::NodeId node = net::kInvalidNode);
-  /// Called when `agent` has collected a majority of grants in each of
+  /// Called when `agent` has collected a write quorum of grants in each of
   /// `groups` (empty = group 0); audits every group's per-server grant
-  /// holders for a competing majority (per-group Theorem 2 monitor).
-  /// Under dynamic membership the check is (group, epoch)-scoped: a
-  /// competing holder's grant set is tested against the per-group geometry
-  /// of *every* recorded view, so a mixed-epoch "quorum" assembled by the
-  /// MixedEpoch mutant is flagged even though no single static geometry
-  /// covers it. `epoch` is the claiming session's birth epoch (0 = static).
+  /// holders for a competitor whose grants also cover a write quorum (the
+  /// per-group Theorem 2 monitor). The check is (group, epoch)-scoped: a
+  /// competitor's grant set is tested against the group's electorate in
+  /// *every* recorded view, so a mixed-epoch "quorum" assembled by the
+  /// MixedEpoch mutant is flagged even though no single view covers it.
   void note_update_quorum(const agent::AgentId& agent,
                           const std::vector<shard::GroupId>& groups = {},
-                          net::NodeId node = net::kInvalidNode,
-                          std::uint64_t epoch = 0);
+                          net::NodeId node = net::kInvalidNode);
   void note_update_commit(const agent::AgentId& agent,
                           const std::vector<WriteOp>& ops,
                           net::NodeId node = net::kInvalidNode);
@@ -195,35 +193,31 @@ class MarpProtocol final : public replica::ReplicationProtocol {
   void note_quorum_reselection() { ++stats_.quorum_reselections; }
   void note_read() { ++stats_.reads_served; }
 
-  /// The deployment's quorum geometry (never null; Majority by default).
+  /// The cluster-wide quorum geometry (never null; Majority by default) —
+  /// the static deployment's electorate, or the pre-mapping inner geometry
+  /// at cluster size under partial replication.
   const quorum::QuorumSystem& quorum_system() const noexcept { return *quorum_; }
-  /// Geometry handle for decide()/tour planning: null on the Majority path
-  /// so the seed arithmetic stays byte-for-byte untouched, the geometry
-  /// object otherwise.
-  const quorum::QuorumSystem* decision_quorum() const noexcept {
-    return quorum_->geometry() == quorum::Geometry::Majority ? nullptr
-                                                             : quorum_.get();
-  }
   void note_anomaly(Anomaly kind);
   void note_agents_lease_purged(std::uint64_t n) { stats_.agents_lease_purged += n; }
 
-  // ---- dynamic membership (config.membership.enabled()) ----
+  // ---- views ----
 
-  /// Whether this deployment runs with epoch-stamped views.
-  bool membership_enabled() const noexcept { return config_.membership.enabled(); }
-  /// Newest view any server has activated (falls back to the initial view;
-  /// MARP_REQUIREs membership on). Test/monitor oracle — individual servers
-  /// may lag behind this during a change.
+  /// Newest view any server has activated (the initial view until a change
+  /// completes; the epoch-0 full-replication view of a static deployment).
+  /// Test/monitor oracle — individual servers may lag behind this during a
+  /// change.
   const membership::MembershipView& current_view() const;
-  /// View recorded for `epoch`, or nullptr if no server ever activated it.
-  const membership::MembershipView* view_at(std::uint64_t epoch) const;
-  /// Every view recorded so far, ascending by epoch.
-  const std::vector<membership::MembershipView>& view_history() const noexcept {
+  /// Every view recorded so far with its electorates, ascending by epoch.
+  const std::vector<std::shared_ptr<const membership::InstalledView>>&
+  view_history() const noexcept {
     return views_;
   }
+  /// Whether `node` owes a copy of `key` at quiescence: it hosts the key's
+  /// group in the newest view, has installed that view, and has not left.
+  bool owes_copy(net::NodeId node, const std::string& key) const;
   /// Called by each server on view activation; first activation of an epoch
   /// records it in the oracle history and counts a view change.
-  void note_view_activated(const membership::MembershipView& view);
+  void note_view_activated(std::shared_ptr<const membership::InstalledView> view);
   void note_epoch_retour() { ++stats_.epoch_retours; }
 
   /// Start a two-phase view change adding/removing `node`, coordinated by
@@ -240,10 +234,10 @@ class MarpProtocol final : public replica::ReplicationProtocol {
   agent::AgentPlatform& platform_;
   MarpConfig config_;
   shard::ShardRouter router_;
-  std::unique_ptr<const quorum::QuorumSystem> quorum_;
+  std::shared_ptr<const quorum::QuorumSystem> quorum_;
   std::vector<std::unique_ptr<MarpServer>> servers_;
-  /// Recorded views, ascending by epoch (empty when membership is off).
-  std::vector<membership::MembershipView> views_;
+  /// Recorded views, ascending by epoch; never empty.
+  std::vector<std::shared_ptr<const membership::InstalledView>> views_;
   MarpStats stats_;
   std::vector<CommitRecord> commit_log_;
   PhaseProbe phase_probe_;

@@ -31,21 +31,22 @@ MarpServer& ReadAgent::server_here(agent::AgentContext& ctx) const {
   return *server;
 }
 
-const quorum::QuorumSystem* ReadAgent::read_geometry(agent::AgentContext& ctx) const {
+const membership::Electorate& ReadAgent::electorate(agent::AgentContext& ctx) const {
   MarpServer& server = server_here(ctx);
-  if (server.config().membership.enabled()) {
-    // Partial replication: the read only has to intersect write quorums of
-    // the key's group, so the electorate is that group's replica set.
-    return server.group_quorum(server.router().group_of(key_));
-  }
-  return server.protocol().decision_quorum();
+  return server.electorate(server.router().group_of(key_));
+}
+
+bool ReadAgent::covered(agent::AgentContext& ctx) const {
+  const membership::Electorate& e = electorate(ctx);
+  if (e.counts_votes()) return gathered_votes_ >= needed_votes_;
+  return e.quorum().read_covered(quorum::make_node_set(visited_));
 }
 
 bool ReadAgent::reselect_quorum(agent::AgentContext& ctx) {
-  const quorum::QuorumSystem* qs = read_geometry(ctx);
-  if (qs == nullptr) return true;  // vote-counting path: nothing to re-pick
+  const membership::Electorate& e = electorate(ctx);
+  if (e.counts_votes()) return true;  // every replica is toured already
   const auto members =
-      qs->pick_read_quorum(quorum::make_node_set(unavailable_), ctx.here());
+      e.quorum().pick_read_quorum(quorum::make_node_set(unavailable_), ctx.here());
   if (!members) {
     server_here(ctx).protocol().note_anomaly(Anomaly::FailedReadQuorum);
     finish(ctx, /*success=*/false);
@@ -58,7 +59,7 @@ bool ReadAgent::reselect_quorum(agent::AgentContext& ctx) {
       usl_.push_back(node);
     }
   }
-  if (qs->read_covered(quorum::make_node_set(visited_))) {
+  if (covered(ctx)) {
     finish(ctx, /*success=*/true);
     return false;
   }
@@ -68,15 +69,15 @@ bool ReadAgent::reselect_quorum(agent::AgentContext& ctx) {
 void ReadAgent::on_created(agent::AgentContext& ctx) {
   MarpServer& server = server_here(ctx);
   needed_votes_ = read_quorum_for(server.config(), server.cluster_size());
-  for (net::NodeId node = 0; node < server.cluster_size(); ++node) {
-    usl_.push_back(node);
-  }
-  if (server.config().membership.enabled()) epoch_ = server.view().epoch;
-  if (const quorum::QuorumSystem* qs = read_geometry(ctx)) {
-    // Geometry read path: tour one of the geometry's read quorums (a
-    // column transversal, a tree quorum, a single lease holder, …) instead
-    // of counting votes. Prefer the origin so the local visit counts.
-    const auto members = qs->pick_read_quorum({}, ctx.here());
+  epoch_ = server.epoch();
+  const membership::Electorate& e = electorate(ctx);
+  if (e.counts_votes()) {
+    usl_.assign(e.replicas().begin(), e.replicas().end());
+  } else {
+    // Tour one of the electorate's read quorums (a column transversal, a
+    // tree quorum, a single lease holder, …). Prefer the origin so the local
+    // visit counts.
+    const auto members = e.quorum().pick_read_quorum({}, ctx.here());
     if (!members) {
       // No read quorum exists right now (e.g. a read-lease holder is down,
       // or the geometry is mid-reconfiguration). That is a failed read, not
@@ -98,19 +99,17 @@ void ReadAgent::on_arrival(agent::AgentContext& ctx) {
 
 void ReadAgent::do_visit(agent::AgentContext& ctx) {
   MarpServer& server = server_here(ctx);
-  const MarpConfig& config = server.config();
-  const bool membership = config.membership.enabled();
-  if (membership && config.mutant != ProtocolMutant::MixedEpoch &&
-      server.view().epoch > epoch_) {
+  if (server.config().mutant != ProtocolMutant::MixedEpoch &&
+      server.epoch() > epoch_) {
     // The view moved under this tour: visits made under the old epoch no
     // longer prove intersection with the current write quorums. Restart the
     // tour over the new view's replica set. best_ survives — a version
     // already observed stays a legal lower bound under the Thomas rule.
-    epoch_ = server.view().epoch;
+    epoch_ = server.epoch();
     visited_.clear();
     if (!reselect_quorum(ctx)) return;
   }
-  if (membership && server.catching_up()) {
+  if (server.catching_up()) {
     // A joiner mid-catch-up may still miss committed writes for its newly
     // gained groups; counting it towards the read quorum could surface a
     // stale value. Route around it as if unreachable.
@@ -120,13 +119,7 @@ void ReadAgent::do_visit(agent::AgentContext& ctx) {
       unavailable_.push_back(ctx.here());
     }
     usl_.erase(std::remove(usl_.begin(), usl_.end(), ctx.here()), usl_.end());
-    if (!reselect_quorum(ctx)) return;
-    const net::NodeId next = pick_next(ctx);
-    if (next == net::kInvalidNode) {
-      finish(ctx, /*success=*/false);
-      return;
-    }
-    ctx.dispatch_to(next);
+    if (reselect_quorum(ctx)) move_on(ctx);
     return;
   }
   if (auto local = server.store().read(key_)) {
@@ -137,14 +130,14 @@ void ReadAgent::do_visit(agent::AgentContext& ctx) {
   visited_.push_back(ctx.here());
   usl_.erase(std::remove(usl_.begin(), usl_.end(), ctx.here()), usl_.end());
 
-  const quorum::QuorumSystem* qs = read_geometry(ctx);
-  const bool covered =
-      qs != nullptr ? qs->read_covered(quorum::make_node_set(visited_))
-                    : gathered_votes_ >= needed_votes_;
-  if (covered) {
+  if (covered(ctx)) {
     finish(ctx, /*success=*/true);
     return;
   }
+  move_on(ctx);
+}
+
+void ReadAgent::move_on(agent::AgentContext& ctx) {
   const net::NodeId next = pick_next(ctx);
   if (next == net::kInvalidNode) {
     finish(ctx, /*success=*/false);  // quorum unreachable
@@ -198,13 +191,7 @@ void ReadAgent::on_migration_failed(agent::AgentContext& ctx,
   migration_retries_ = 0;
   // Re-pick a read quorum around the dead member; keep the current position
   // preferred so the visits already made keep counting.
-  if (!reselect_quorum(ctx)) return;
-  const net::NodeId next = pick_next(ctx);
-  if (next == net::kInvalidNode) {
-    finish(ctx, /*success=*/false);
-    return;
-  }
-  ctx.dispatch_to(next);
+  if (reselect_quorum(ctx)) move_on(ctx);
 }
 
 void ReadAgent::finish(agent::AgentContext& ctx, bool success) {
@@ -240,8 +227,8 @@ void ReadAgent::serialize(serial::Writer& w) const {
   w.varint(routing_costs_.size());
   for (std::int64_t cost : routing_costs_) w.svarint(cost);
   w.varint(migration_retries_);
-  // Trailing optional (membership only): absent bytes keep the static
-  // deployment's migration sizes bit-identical.
+  // Trailing optional, absent at epoch 0: a static deployment's migration
+  // sizes carry no byte of it.
   if (epoch_ != 0) w.varint(epoch_);
 }
 

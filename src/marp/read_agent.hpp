@@ -4,17 +4,19 @@
 // which can be used to implement different kinds of replication control
 // algorithms"): instead of reading the possibly-stale local copy, a read
 // agent tours servers — cheapest first, like the UpdateAgent — collecting
-// (version, value) pairs until the votes it has gathered form a read quorum
-// that must intersect every write majority. It then reports the freshest
-// copy to its origin server and disposes. No locks are taken: reads never
-// block writes.
+// (version, value) pairs until the servers it has visited form a read quorum
+// of the key's electorate, which intersects every write quorum. Under the
+// paper's static majority it tours every replica and counts votes; every
+// other electorate tours one picked read quorum. It then reports the
+// freshest copy to its origin server and disposes. No locks are taken:
+// reads never block writes.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "agent/agent.hpp"
-#include "quorum/quorum.hpp"
+#include "membership/electorate.hpp"
 #include "replica/versioned_store.hpp"
 
 namespace marp::core {
@@ -57,18 +59,25 @@ class ReadAgent final : public agent::MobileAgent {
   void do_visit(agent::AgentContext& ctx);
   void finish(agent::AgentContext& ctx, bool success);
   net::NodeId pick_next(agent::AgentContext& ctx) const;
-  /// Geometry the read must cover: the key's group quorum under dynamic
-  /// membership, the cluster-wide geometry otherwise, nullptr on the seed
-  /// vote-counting path.
-  const quorum::QuorumSystem* read_geometry(agent::AgentContext& ctx) const;
-  /// Re-select a read quorum around unavailable_ on a geometry path. Returns
-  /// false when the tour is over (no quorum left → failure reported, or the
+  /// Migrate to the cheapest server left on the tour, or report failure
+  /// when none is.
+  void move_on(agent::AgentContext& ctx);
+  /// Electorate of the key's lock group under the local installed view: the
+  /// read must cover one of its read quorums.
+  const membership::Electorate& electorate(agent::AgentContext& ctx) const;
+  /// Whether the servers visited so far cover a read quorum.
+  bool covered(agent::AgentContext& ctx) const;
+  /// Re-select a read quorum around unavailable_ (electorates that count
+  /// votes tour every replica and have nothing to re-pick). Returns false
+  /// when the tour is over (no quorum left → failure reported, or the
   /// visits already cover → success reported); true to keep touring.
   bool reselect_quorum(agent::AgentContext& ctx);
 
   net::NodeId origin_ = net::kInvalidNode;
   std::uint64_t request_id_ = 0;
   std::string key_;
+  /// Vote-counting tally (counts_votes electorates): the read threshold and
+  /// the votes of the servers visited so far.
   std::uint32_t needed_votes_ = 0;
   std::uint32_t gathered_votes_ = 0;
   replica::VersionedValue best_;
@@ -77,8 +86,9 @@ class ReadAgent final : public agent::MobileAgent {
   std::vector<net::NodeId> unavailable_;
   std::vector<std::int64_t> routing_costs_;
   std::uint32_t migration_retries_ = 0;
-  /// Birth epoch of the current tour (0 = static membership). Serialized as
-  /// a trailing optional field so the disabled path stays byte-identical.
+  /// Epoch of the view the current tour runs under (0 = static deployment).
+  /// Serialized as a trailing optional field, so a static deployment's
+  /// migrations carry no byte of it.
   std::uint64_t epoch_ = 0;
 };
 

@@ -29,13 +29,15 @@ constexpr std::uint32_t kAnyAttempt = std::numeric_limits<std::uint32_t>::max();
 
 MarpServer::MarpServer(net::Network& network, agent::AgentPlatform& platform,
                        net::NodeId node, const MarpConfig& config,
-                       MarpProtocol& protocol)
+                       MarpProtocol& protocol,
+                       std::shared_ptr<const membership::InstalledView> installed)
     : replica::ServerBase(network, node),
       platform_(platform),
       config_(config),
       protocol_(protocol),
       router_(config.num_lock_groups),
       lock_space_(config.num_lock_groups),
+      installed_(std::move(installed)),
       anti_entropy_rng_(
           network.simulator().rng_factory().stream("anti-entropy", node)) {
   platform_.host(node).set_service(kMarpServiceName, this);
@@ -76,11 +78,9 @@ std::size_t MarpServer::sync_pull(std::size_t max_peers) {
 }
 
 bool MarpServer::sync_peer_ok(net::NodeId peer) const {
-  if (peer == node_ || !network_.node_up(peer)) return false;
-  // Under dynamic membership only installed members hold data worth pulling
-  // (a spare's store is empty, a retired node's is frozen).
-  if (config_.membership.enabled()) return view_.is_member(peer);
-  return true;
+  // Only installed members hold data worth pulling (a spare's store is
+  // empty, a retired node's is frozen).
+  return peer != node_ && network_.node_up(peer) && view().is_member(peer);
 }
 
 void MarpServer::touch_agent(const agent::AgentId& agent) {
@@ -225,16 +225,14 @@ VisitResult MarpServer::visit(const agent::AgentId& visitor,
   std::vector<shard::GroupId> groups = router_.groups_of(keys);
   if (groups.empty()) groups.push_back(0);
 
+  // This server only runs the Locking-List machinery of the groups it
+  // hosts. An agent that lands here with other groups is stale (its view
+  // predates a change) — the epoch below tells it so.
   VisitResult result;
-  if (config_.membership.enabled()) {
-    // Partial replication: this server only runs the Locking-List machinery
-    // of the groups it hosts. An agent that lands here with other groups is
-    // stale (its view predates a change) — the epoch below tells it so.
-    result.epoch = view_.epoch;
-    std::erase_if(groups, [this](shard::GroupId g) {
-      return !view_.hosts(node_, g);
-    });
-  }
+  result.epoch = epoch();
+  std::erase_if(groups, [this](shard::GroupId g) {
+    return !electorate(g).hosts(node_);
+  });
   // Algorithm 2: "create an entry for the mobile agent and append it to LL"
   // (idempotent on re-visits — the agent keeps its queue position), once per
   // lock group the write-set routes to.
@@ -295,10 +293,9 @@ MarpServer::GrantResult MarpServer::handle_update_local(
   // promised or this member is still catching up. The MixedEpoch mutant
   // skips the fence so the model checker can watch mixed-epoch "quorums"
   // form — the (group, epoch)-scoped monitor must flag them.
-  if (config_.membership.enabled() &&
-      config_.mutant != ProtocolMutant::MixedEpoch) {
-    if (retired_ || !view_.is_member(node_)) return GrantResult::EpochStale;
-    if (payload.epoch != view_.epoch) return GrantResult::EpochStale;
+  if (config_.mutant != ProtocolMutant::MixedEpoch) {
+    if (retired_ || !view().is_member(node_)) return GrantResult::EpochStale;
+    if (payload.epoch != epoch()) return GrantResult::EpochStale;
     if (pending_view_) return GrantResult::EpochStale;
     if (catching_up_) return GrantResult::CatchingUp;
   }
@@ -349,10 +346,7 @@ void MarpServer::handle_commit_local(const CommitPayload& payload) {
   // partial replication only hosted groups are applied (against the newest
   // known view, so a promised joiner already absorbs its new groups).
   for (const WriteOp& op : payload.ops) {
-    if (config_.membership.enabled() &&
-        !newest_view().hosts(node_, router_.group_of(op.key))) {
-      continue;
-    }
+    if (!keeps(op.key)) continue;
     store_.apply(op.key, op.value, op.version);
     if (op.version > applied_high_) applied_high_ = op.version;
   }
@@ -464,7 +458,7 @@ void MarpServer::handle_message(const net::Message& message) {
       switch (handle_update_local(payload, &conflict)) {
         case GrantResult::Granted: {
           AckPayload ack{node_, payload.attempt, applied_high_};
-          ack.epoch = view_.epoch;
+          ack.epoch = epoch();
           platform_.send_to_agent(node_, payload.reply_to, payload.agent,
                                   kMsgAck, ack.encode());
           break;
@@ -548,10 +542,7 @@ void MarpServer::handle_message(const net::Message& message) {
         // Partial replication: keep only the groups this node hosts under
         // the newest view it knows (a promised joiner adopts its gained
         // groups from exactly this merge).
-        if (config_.membership.enabled() &&
-            !newest_view().hosts(node_, router_.group_of(item.key))) {
-          continue;
-        }
+        if (!keeps(item.key)) continue;
         if (store_.apply(item.key, item.value, item.version)) {
           ++applied;
           if (item.version > applied_high_) applied_high_ = item.version;
@@ -641,41 +632,20 @@ void MarpServer::on_recover() {
   }
 }
 
-// ---- dynamic membership ----
-
-void MarpServer::install_view(const membership::MembershipView& view) {
-  view_ = view;
-  pending_view_.reset();
-  rebuild_group_quorums();
-}
-
-void MarpServer::rebuild_group_quorums() {
-  group_quorums_.clear();
-  if (!view_.enabled()) return;
-  group_quorums_.reserve(view_.num_groups());
-  for (shard::GroupId g = 0; g < view_.num_groups(); ++g) {
-    group_quorums_.push_back(std::make_unique<membership::MappedQuorum>(
-        config_.quorum, view_.replicas_of(g)));
-  }
-}
-
-const membership::MappedQuorum* MarpServer::group_quorum(shard::GroupId g) const {
-  if (g >= group_quorums_.size()) return nullptr;
-  return group_quorums_[g].get();
-}
+// ---- the installed view ----
 
 bool MarpServer::begin_view_change(std::vector<net::NodeId> new_active) {
   if (!config_.membership.enabled() || !up_ || change_) return false;
   membership::MembershipView next = membership::make_view(
-      view_.epoch + 1, std::move(new_active),
+      epoch() + 1, std::move(new_active),
       config_.membership.replication_factor, config_.num_lock_groups,
       &network_.topology());
-  if (next.active == view_.active) return false;
+  if (next.active == view().active) return false;
   PendingChange change;
-  std::set<net::NodeId> targets(view_.active.begin(), view_.active.end());
+  std::set<net::NodeId> targets(view().active.begin(), view().active.end());
   targets.insert(next.active.begin(), next.active.end());
   change.targets.assign(targets.begin(), targets.end());
-  change.old_view = view_;
+  change.old = installed_;
   change.view = std::move(next);
   change_ = std::move(change);
   MARP_LOG_INFO("marp") << "server " << node_ << ": proposing view epoch "
@@ -693,20 +663,13 @@ bool MarpServer::begin_view_change(std::vector<net::NodeId> new_active) {
 
 void MarpServer::handle_view_propose(const ViewProposePayload& payload) {
   if (!up_ || !config_.membership.enabled()) return;
-  if (payload.view.epoch <= view_.epoch) return;  // change already activated
+  if (payload.view.epoch <= epoch()) return;  // change already activated
   if (!pending_view_ || pending_view_->epoch < payload.view.epoch) {
     pending_view_ = payload.view;
     // A node gaining groups starts its catch-up right away: the promise
     // phase doubles as transfer time, and handle_update_local refuses
     // grants until the first merge lands.
-    bool gains = false;
-    for (shard::GroupId g = 0; g < payload.view.num_groups(); ++g) {
-      if (payload.view.hosts(node_, g) && !view_.hosts(node_, g)) {
-        gains = true;
-        break;
-      }
-    }
-    if (gains) {
+    if (payload.view.gains(node_, view())) {
       catching_up_ = true;
       sync_pull(2);
     }
@@ -729,10 +692,8 @@ void MarpServer::handle_view_ack(const ViewAckPayload& payload) {
   // (fencing) server before it can complete a write quorum of its group —
   // per-group quorum intersection carries the old view's exclusivity into
   // the new one.
-  const membership::MembershipView& old = change_->old_view;
-  for (shard::GroupId g = 0; g < old.num_groups(); ++g) {
-    const membership::MappedQuorum mapped(config_.quorum, old.replicas_of(g));
-    if (!mapped.write_covered(change_->acks)) return;
+  for (const membership::Electorate& old : change_->old->electorates) {
+    if (!old.quorum().write_covered(change_->acks)) return;
   }
   const ViewActivatePayload activate{change_->view};
   const std::vector<std::uint8_t> encoded = activate.encode();
@@ -745,16 +706,15 @@ void MarpServer::handle_view_ack(const ViewAckPayload& payload) {
   activate_view(view);
 }
 
-void MarpServer::activate_view(const membership::MembershipView& view) {
+void MarpServer::activate_view(const membership::MembershipView& next) {
   if (!up_ || !config_.membership.enabled()) return;
-  if (view.epoch <= view_.epoch) return;
-  const membership::MembershipView old = view_;
-  view_ = view;
-  if (pending_view_ && pending_view_->epoch <= view_.epoch) pending_view_.reset();
-  rebuild_group_quorums();
-  protocol_.note_view_activated(view_);
-  if (!view_.is_member(node_)) {
-    if (old.is_member(node_)) {
+  if (next.epoch <= epoch()) return;
+  const std::shared_ptr<const membership::InstalledView> old = installed_;
+  installed_ = membership::install_view(next, config_.quorum);
+  if (pending_view_ && pending_view_->epoch <= epoch()) pending_view_.reset();
+  protocol_.note_view_activated(installed_);
+  if (!view().is_member(node_)) {
+    if (old->view.is_member(node_)) {
       // Leaver: drain. Sessions queued or granted here are fenced under the
       // new epoch anyway; dropping the coordination state releases their
       // grants now instead of via leases. The store stays (frozen) so a
@@ -763,21 +723,14 @@ void MarpServer::activate_view(const membership::MembershipView& view) {
       catching_up_ = false;
       reset_coordination();
       MARP_LOG_INFO("marp") << "server " << node_ << ": left view at epoch "
-                            << view_.epoch << ", locking lists drained";
+                            << epoch() << ", locking lists drained";
     }
     return;
   }
   retired_ = false;
   // A member that gained groups but never saw the propose (lost message)
   // still has to catch up before serving grants for them.
-  bool gains = false;
-  for (shard::GroupId g = 0; g < view_.num_groups(); ++g) {
-    if (view_.hosts(node_, g) && !old.hosts(node_, g)) {
-      gains = true;
-      break;
-    }
-  }
-  if (gains && !catching_up_) {
+  if (view().gains(node_, old->view) && !catching_up_) {
     catching_up_ = true;
     sync_pull(2);
   }

@@ -14,7 +14,9 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -22,8 +24,7 @@
 #include "marp/config.hpp"
 #include "marp/priority.hpp"
 #include "marp/wire.hpp"
-#include "membership/mapped_quorum.hpp"
-#include "membership/view.hpp"
+#include "membership/electorate.hpp"
 #include "replica/locking.hpp"
 #include "replica/request.hpp"
 #include "replica/server.hpp"
@@ -54,8 +55,10 @@ struct VisitResult {
 
 class MarpServer : public replica::ServerBase {
  public:
+  /// `installed` is the initial view (see MarpProtocol).
   MarpServer(net::Network& network, agent::AgentPlatform& platform,
-             net::NodeId node, const MarpConfig& config, MarpProtocol& protocol);
+             net::NodeId node, const MarpConfig& config, MarpProtocol& protocol,
+             std::shared_ptr<const membership::InstalledView> installed);
 
   const MarpConfig& config() const noexcept { return config_; }
   MarpProtocol& protocol() noexcept { return protocol_; }
@@ -138,27 +141,23 @@ class MarpServer : public replica::ServerBase {
     if (version > applied_high_) applied_high_ = version;
   }
 
-  // ---- dynamic membership (config().membership.enabled()) ----
+  // ---- the installed view ----
 
-  /// This server's installed view (epoch 0 object when membership is off).
-  const membership::MembershipView& view() const noexcept { return view_; }
-  std::uint64_t epoch() const noexcept { return view_.epoch; }
-  /// Member of the installed view (vacuously true with membership off).
-  bool in_view() const noexcept {
-    return !config_.membership.enabled() || view_.is_member(node());
+  /// This server's installed view (the epoch-0 full-replication view of a
+  /// static deployment).
+  const membership::MembershipView& view() const noexcept { return installed_->view; }
+  std::uint64_t epoch() const noexcept { return installed_->view.epoch; }
+  /// The installed view with its per-group electorates.
+  const membership::InstalledView& installed() const noexcept { return *installed_; }
+  /// Electorate of lock group `g` under the installed view.
+  const membership::Electorate& electorate(shard::GroupId g) const {
+    return installed_->electorate(g);
   }
   /// Joining/gaining member that has not yet finished its catch-up sync; it
   /// refuses update grants until the first store merge completes.
   bool catching_up() const noexcept { return catching_up_; }
   /// Former member that left via a view change: drained, refuses everything.
   bool retired() const noexcept { return retired_; }
-
-  /// Install a view without the two-phase dance (initial view at construction
-  /// time, from MarpProtocol).
-  void install_view(const membership::MembershipView& view);
-  /// Per-group quorum geometry of the installed view, mapped onto the
-  /// group's replica list. Null when membership is off.
-  const membership::MappedQuorum* group_quorum(shard::GroupId g) const;
 
   /// Coordinator entry point: start a two-phase change to `new_active`
   /// (propose to old ∪ new members, activate once a write quorum of every
@@ -220,17 +219,20 @@ class MarpServer : public replica::ServerBase {
   // ---- dynamic membership internals ----
   void handle_view_propose(const ViewProposePayload& payload);
   void handle_view_ack(const ViewAckPayload& payload);
-  /// Make `view` current: rebuild the per-group quorum cache, start catch-up
-  /// when this node gained groups, drain and retire when it left.
-  void activate_view(const membership::MembershipView& view);
-  void rebuild_group_quorums();
+  /// Make `next` current: build its electorates, start catch-up when this
+  /// node gained groups, drain and retire when it left.
+  void activate_view(const membership::MembershipView& next);
   /// Newest view this node knows of (pending promise included) — the one a
   /// catch-up merge filters hosted keys against.
   const membership::MembershipView& newest_view() const noexcept {
-    return pending_view_ ? *pending_view_ : view_;
+    return pending_view_ ? *pending_view_ : view();
   }
-  /// Peer eligible as a sync/anti-entropy source: live and (when membership
-  /// is on) a member of the installed view, where the data lives.
+  /// Whether this node keeps `key` under the newest view it knows.
+  bool keeps(const std::string& key) const {
+    return newest_view().hosts(node_, router_.group_of(key));
+  }
+  /// Peer eligible as a sync/anti-entropy source: live and a member of the
+  /// installed view, where the data lives.
   bool sync_peer_ok(net::NodeId peer) const;
 
   agent::AgentPlatform& platform_;
@@ -252,10 +254,8 @@ class MarpServer : public replica::ServerBase {
   /// the UL) — retransmitted reports are re-acked but not double-counted.
   replica::UpdatedList reported_;
 
-  // ---- dynamic membership state (all inert when membership is off) ----
-  membership::MembershipView view_;
-  /// Per-group geometry cache over view_.group_replicas.
-  std::vector<std::unique_ptr<membership::MappedQuorum>> group_quorums_;
+  // ---- view state (static deployments never change it) ----
+  std::shared_ptr<const membership::InstalledView> installed_;
   /// Promised-but-not-activated view. Holding a promise fences UPDATE
   /// grants of older epochs (phase 1 of the change is the safety fence).
   std::optional<membership::MembershipView> pending_view_;
@@ -264,7 +264,9 @@ class MarpServer : public replica::ServerBase {
     membership::MembershipView view;
     quorum::NodeSet acks;
     std::vector<net::NodeId> targets;       ///< old ∪ new active
-    membership::MembershipView old_view;    ///< promise quorum measured here
+    /// The view being replaced; the promise quorum is measured in its
+    /// electorates.
+    std::shared_ptr<const membership::InstalledView> old;
   };
   std::optional<PendingChange> change_;
   bool catching_up_ = false;

@@ -41,88 +41,82 @@ bool UpdateAgent::is_unavailable(net::NodeId node) const {
          unavailable_.end();
 }
 
-const quorum::QuorumSystem* UpdateAgent::decision_quorum(
-    agent::AgentContext& ctx) const {
-  MarpServer& server = server_here(ctx);
-  // Membership mode replaces the cluster-level geometry with the per-group
-  // mapped quorums (server.group_quorum) — the cluster handle would measure
-  // coverage against the wrong electorate.
-  if (server.config().membership.enabled()) return nullptr;
-  return server.protocol().decision_quorum();
+const membership::Electorate& UpdateAgent::electorate(agent::AgentContext& ctx,
+                                                     shard::GroupId g) const {
+  return server_here(ctx).electorate(g);
 }
 
-std::vector<net::NodeId> UpdateAgent::view_usl(agent::AgentContext& ctx) const {
-  const membership::MembershipView& view = server_here(ctx).view();
+bool UpdateAgent::tours_quorum(agent::AgentContext& ctx) const {
+  return std::any_of(groups_.begin(), groups_.end(), [&](shard::GroupId g) {
+    return electorate(ctx, g).tours_quorum();
+  });
+}
+
+std::optional<quorum::NodeSet> UpdateAgent::tour_set(
+    agent::AgentContext& ctx, const membership::InstalledView& view) const {
+  const ProtocolMutant mutant = server_here(ctx).config().mutant;
+  const quorum::NodeSet down = quorum::make_node_set(unavailable_);
+  std::vector<net::NodeId> tour;
+  for (const shard::GroupId g : groups_) {
+    const membership::Electorate& e = view.electorate(g);
+    if (!e.tours_quorum()) {
+      tour.insert(tour.end(), e.replicas().begin(), e.replicas().end());
+      continue;
+    }
+    // Locks at a quorum are enough: the geometry's intersection property
+    // replaces the full tour. The pick contains the origin when it can.
+    const auto candidate = mutant_pick_write_quorum(e.quorum(), down, origin_, mutant);
+    if (!candidate) return std::nullopt;
+    tour.insert(tour.end(), candidate->begin(), candidate->end());
+  }
+  return quorum::make_node_set(std::move(tour));
+}
+
+quorum::NodeSet UpdateAgent::replicas(agent::AgentContext& ctx) const {
   std::vector<net::NodeId> nodes;
   for (const shard::GroupId g : groups_) {
-    for (const net::NodeId node : view.replicas_of(g)) {
-      if (std::find(nodes.begin(), nodes.end(), node) == nodes.end()) {
-        nodes.push_back(node);
-      }
-    }
+    const quorum::NodeSet& group = electorate(ctx, g).replicas();
+    nodes.insert(nodes.end(), group.begin(), group.end());
   }
-  std::sort(nodes.begin(), nodes.end());
-  return nodes;
+  return quorum::make_node_set(std::move(nodes));
 }
 
-std::optional<quorum::NodeSet> UpdateAgent::current_quorum(
-    agent::AgentContext& ctx) const {
-  const quorum::QuorumSystem* qs = decision_quorum(ctx);
-  MARP_REQUIRE(qs != nullptr);
-  return mutant_pick_write_quorum(*qs, quorum::make_node_set(unavailable_),
-                                  origin_, server_here(ctx).config().mutant);
+void UpdateAgent::tour_unvisited(const quorum::NodeSet& members) {
+  usl_.clear();
+  for (const net::NodeId node : members) {
+    if (std::find(visited_.begin(), visited_.end(), node) == visited_.end()) {
+      usl_.push_back(node);
+    }
+  }
 }
 
 bool UpdateAgent::ack_quorum_reached(agent::AgentContext& ctx) const {
-  MarpServer& server = server_here(ctx);
-  if (server.config().membership.enabled()) {
-    // (group, epoch)-scoped coverage: the acked set must contain a write
-    // quorum of EVERY group's replica geometry. Acks are epoch-filtered on
-    // receipt, except under the MixedEpoch mutant, which deliberately lets
-    // cross-epoch acks accumulate here.
-    const quorum::NodeSet held(acks_.begin(), acks_.end());  // set: sorted
-    for (const shard::GroupId g : groups_) {
-      const membership::MappedQuorum* gq = server.group_quorum(g);
-      if (gq == nullptr || !gq->write_covered(held)) return false;
-    }
-    return true;
-  }
-  if (const quorum::QuorumSystem* qs = decision_quorum(ctx)) {
-    const quorum::NodeSet held(acks_.begin(), acks_.end());  // set: sorted
-    return mutant_write_covered(*qs, held, server.config().mutant);
-  }
-  return 2 * ack_votes(ctx) >
-         total_votes(server.config().votes, server.cluster_size());
+  // The acked set must contain a write quorum of EVERY group's electorate.
+  // Acks are epoch-filtered on receipt, except under the MixedEpoch mutant,
+  // which deliberately lets cross-epoch acks accumulate here.
+  const ProtocolMutant mutant = server_here(ctx).config().mutant;
+  const quorum::NodeSet held(acks_.begin(), acks_.end());  // set: sorted
+  return std::all_of(groups_.begin(), groups_.end(), [&](shard::GroupId g) {
+    return mutant_write_covered(electorate(ctx, g).quorum(), held, mutant);
+  });
 }
 
 void UpdateAgent::on_created(agent::AgentContext& ctx) {
   dispatched_us_ = ctx.now().as_micros();
   MarpServer& server = server_here(ctx);
-  const std::size_t n = server.cluster_size();
-  usl_.clear();
-  // §3.2: "Initially, this list contains all the replicated servers in the
-  // system" — the creation server is visited first, without migrating.
-  for (net::NodeId node = 0; node < n; ++node) usl_.push_back(node);
-  if (decision_quorum(ctx) != nullptr) {
-    // Non-majority geometry: tour only the candidate write quorum (which
-    // contains the origin — `prefer` in the pick). Locks at a quorum are
-    // enough; the geometry's intersection property replaces the full tour.
-    const auto members = current_quorum(ctx);
-    MARP_REQUIRE(members.has_value());
-    usl_.assign(members->begin(), members->end());
-  }
   // The write-set's lock groups, ascending — the fixed acquisition order
   // every agent uses, which is what makes multi-group claims deadlock-free.
   groups_ = server.router().groups_of(keys());
   if (groups_.empty()) groups_.push_back(0);
-  if (server.config().membership.enabled()) {
-    // Epoch-stamped session over partial replication: tour only the
-    // replicas of the write-set's groups, under the origin's current view.
-    // (The origin itself need not be a replica — it then acts purely as the
-    // client, and the first hop migrates into the replica set.)
-    epoch_ = server.view().epoch;
-    usl_ = view_usl(ctx);
-  }
+  // §3.2: "Initially, this list contains all the replicated servers in the
+  // system" — here, every replica of the write-set's groups (or a candidate
+  // quorum of them) under the origin's installed view. The creation server
+  // is visited first, without migrating; when it is not a replica itself it
+  // acts purely as the client and the first hop enters the replica set.
+  epoch_ = server.epoch();
+  const auto tour = tour_set(ctx, server.installed());
+  MARP_REQUIRE(tour.has_value());
+  usl_.assign(tour->begin(), tour->end());
   ctx.set_timer(server.config().visit_service_time, kTokenVisit);
   if (auto* t = tracer(ctx)) t->visit_begin(id(), ctx.here());
 }
@@ -170,34 +164,27 @@ void UpdateAgent::on_timer(agent::AgentContext& ctx, std::uint64_t token) {
       if (phase_ != Phase::Updating) break;
       MarpServer& server = server_here(ctx);
       const MarpConfig& config = server.config();
-      const quorum::QuorumSystem* qs = decision_quorum(ctx);
+      const bool candidate = tours_quorum(ctx);
       if (++ack_rounds_ > config.max_ack_rounds) {
-        if (qs != nullptr) {
-          // Geometry fallback: the silent quorum members are treated as
+        if (candidate) {
+          // Candidate fallback: the silent quorum members are treated as
           // down, the attempt is withdrawn (grants released everywhere so
           // nothing stays wedged), and a fresh quorum avoiding them is
           // toured. Only when no quorum survives does the agent give up.
-          const auto members = current_quorum(ctx);
-          if (members) {
+          if (const auto members = tour_set(ctx, server.installed())) {
             for (const net::NodeId node : *members) {
               if (!acks_.contains(node) && !is_unavailable(node)) {
                 unavailable_.push_back(node);
               }
             }
           }
-          if (const auto next = current_quorum(ctx)) {
+          if (const auto next = tour_set(ctx, server.installed())) {
             server.protocol().note_quorum_reselection();
             ctx.broadcast(kMsgUnlock, UnlockPayload{id(), attempt_seq_}.encode());
             server.handle_unlock_local(id(), attempt_seq_);
             acks_.clear();
             phase_ = Phase::Traveling;
-            usl_.clear();
-            for (const net::NodeId node : *next) {
-              if (std::find(visited_.begin(), visited_.end(), node) ==
-                  visited_.end()) {
-                usl_.push_back(node);
-              }
-            }
+            tour_unvisited(*next);
             evaluate(ctx);
             break;
           }
@@ -206,31 +193,21 @@ void UpdateAgent::on_timer(agent::AgentContext& ctx, std::uint64_t token) {
         break;
       }
       if (auto* t = tracer(ctx)) t->retry(id(), ctx.here(), trace::kRetryAck);
-      // Re-send UPDATE to servers that have not acked (idempotent staging).
-      // A retry means the first transmission met loss or a dead member, so
-      // the geometry path widens to every available server here: the acked
-      // set commits on ANY write quorum it covers (ack_quorum_reached), and
-      // a minimal-fanout retransmit to the same lossy members would just
-      // stall another round. The quorum-only bill is paid on the first
-      // attempt, where it belongs — retries buy robustness with redundancy,
-      // exactly like the seed's broadcast.
+      // Re-send UPDATE to every replica that has not acked (idempotent
+      // staging). A retry means the first transmission met loss or a dead
+      // member, so a candidate-quorum session widens to every available
+      // replica here: the acked set commits on ANY write quorum it covers
+      // (ack_quorum_reached), and a minimal-fanout retransmit to the same
+      // lossy members would just stall another round. The quorum-only bill
+      // is paid on the first attempt, where it belongs — retries buy
+      // robustness with redundancy, exactly like the seed's broadcast.
       UpdatePayload payload{id(), ctx.here(), attempt_seq_, ops_, groups_};
       payload.epoch = epoch_;
       const serial::Bytes bytes = payload.encode();
-      if (config.membership.enabled()) {
-        // Membership fan-out is already "everyone relevant": the groups'
-        // replicas. Non-replicas would only fence the epoch-stamped UPDATE.
-        for (const net::NodeId node : view_usl(ctx)) {
-          if (node == ctx.here() || acks_.contains(node)) continue;
-          ctx.send_to_node(node, kMsgUpdate, bytes);
-        }
-      } else {
-        const std::size_t n = server.cluster_size();
-        for (net::NodeId node = 0; node < n; ++node) {
-          if (node == ctx.here() || acks_.contains(node)) continue;
-          if (qs != nullptr && is_unavailable(node)) continue;
-          ctx.send_to_node(node, kMsgUpdate, bytes);
-        }
+      for (const net::NodeId node : replicas(ctx)) {
+        if (node == ctx.here() || acks_.contains(node)) continue;
+        if (candidate && is_unavailable(node)) continue;
+        ctx.send_to_node(node, kMsgUpdate, bytes);
       }
       ctx.set_timer(ack_retry_delay(ctx), kTokenAckRetry);
       break;
@@ -306,11 +283,10 @@ void UpdateAgent::do_visit(agent::AgentContext& ctx) {
   const VisitResult result =
       server.visit(id(), keys(), config.gossip ? lt_ : GroupLockTable{});
 
-  if (config.membership.enabled() && result.epoch > epoch_ &&
-      config.mutant != ProtocolMutant::MixedEpoch) {
+  if (result.epoch > epoch_ && config.mutant != ProtocolMutant::MixedEpoch) {
     // This server advertises a newer view: everything collected so far is
     // scoped to a dead epoch. Abort-and-re-tour under the new one.
-    retour(ctx, server.view());
+    withdraw_and_requeue(ctx, &server.installed());
     return;
   }
 
@@ -336,7 +312,6 @@ void UpdateAgent::do_visit(agent::AgentContext& ctx) {
 
 void UpdateAgent::evaluate(agent::AgentContext& ctx) {
   MarpServer& server = server_here(ctx);
-  const std::size_t n = server.cluster_size();
   // §3.2's priority rule, applied independently per lock group (ascending):
   // the agent proceeds only when it wins *every* group its write-set
   // touches. A miss in any group means keep collecting locks / wait.
@@ -345,21 +320,15 @@ void UpdateAgent::evaluate(agent::AgentContext& ctx) {
   std::vector<agent::AgentId> losing_to;
   bool loses_to_younger = false;
   std::uint64_t losing_fingerprint = 0xCBF29CE484222325ULL;
-  const bool membership = server.config().membership.enabled();
   for (const shard::GroupId g : groups_) {
     const auto it = lt_.find(g);
-    // Membership mode scopes the election to the group's replica set: its
-    // mapped geometry for tree/grid inners, or majority arithmetic over the
-    // replica count for the Majority inner (decide()'s seed rule, with the
-    // group's copies as the electorate).
-    const quorum::QuorumSystem* gq =
-        membership ? server.group_quorum(g) : decision_quorum(ctx);
-    const std::size_t electorate =
-        membership && gq != nullptr ? gq->size() : n;
+    // The election is scoped to the group's electorate: its size is N and
+    // its geometry the rule (majority arithmetic, or write coverage).
+    const quorum::QuorumSystem& electors = electorate(ctx, g).quorum();
     const Decision verdict =
         decide(it == lt_.end() ? LockTable{} : it->second, ual_, id(),
-               electorate, server.config().tie_break, server.config().votes,
-               server.config().mutant, gq);
+               electors.size(), server.config().tie_break, server.config().votes,
+               server.config().mutant, &electors);
     if (verdict.kind == Decision::Kind::Win) headed.push_back(g);
     if (verdict.kind == Decision::Kind::Lose) {
       losing_to.push_back(*verdict.winner);
@@ -448,17 +417,22 @@ void UpdateAgent::evaluate(agent::AgentContext& ctx) {
   arm_patrol(ctx);
 }
 
-void UpdateAgent::withdraw_and_requeue(agent::AgentContext& ctx) {
+void UpdateAgent::withdraw_and_requeue(agent::AgentContext& ctx,
+                                       const membership::InstalledView* newer) {
   MarpServer& server = server_here(ctx);
-  std::optional<quorum::NodeSet> geometry_usl;
-  if (decision_quorum(ctx) != nullptr) {
-    geometry_usl = current_quorum(ctx);
-    if (!geometry_usl) {
-      abort(ctx);  // no quorum survives the unavailable servers
-      return;
-    }
+  const std::optional<quorum::NodeSet> tour =
+      tour_set(ctx, newer != nullptr ? *newer : server.installed());
+  if (!tour) {
+    abort(ctx);  // no quorum survives the unavailable servers
+    return;
   }
-  server.protocol().note_update_requeue(id());
+  if (newer != nullptr) {
+    MARP_REQUIRE(newer->view.epoch > epoch_);
+    server.protocol().note_epoch_retour();
+    epoch_ = newer->view.epoch;
+  } else {
+    server.protocol().note_update_requeue(id());
+  }
   if (auto* t = tracer(ctx)) {
     t->wait_end(id());
     t->requeue(id(), ctx.here());
@@ -469,65 +443,20 @@ void UpdateAgent::withdraw_and_requeue(agent::AgentContext& ctx) {
   // already says Traveling.
   lt_.clear();  // every queue position just became void
   defer_ = false;
-  visited_.clear();
-  usl_.clear();
-  if (geometry_usl) {
-    usl_.assign(geometry_usl->begin(), geometry_usl->end());
-  } else if (server.config().membership.enabled()) {
-    for (const net::NodeId node : view_usl(ctx)) {
-      if (!is_unavailable(node)) usl_.push_back(node);
-    }
-  } else {
-    const std::size_t n = server.cluster_size();
-    for (net::NodeId node = 0; node < n; ++node) {
-      if (!is_unavailable(node)) usl_.push_back(node);
-    }
-  }
-  phase_ = Phase::Traveling;
-  stall_since_us_ = ctx.now().as_micros();
-
-  // Leave every Locking List (no grants are held while parked — those are
-  // only taken in begin_update). The fresh tour below re-appends this agent
-  // at the tails, behind everything it was blocking. Should a re-appended
-  // entry race a still-in-flight RELEASE and get swallowed, refresh()
-  // re-inserts the parked waiter on the next signal or patrol visit.
-  const ReleasePayload release{id(), groups_};
-  ctx.broadcast(kMsgRelease, release.encode());
-  server.handle_release_local(release);
-  do_visit(ctx);
-}
-
-void UpdateAgent::retour(agent::AgentContext& ctx,
-                         const membership::MembershipView& view) {
-  MarpServer& server = server_here(ctx);
-  MARP_REQUIRE(view.epoch > epoch_);
-  server.protocol().note_epoch_retour();
-  if (auto* t = tracer(ctx)) {
-    t->wait_end(id());
-    t->requeue(id(), ctx.here());
-  }
-  epoch_ = view.epoch;
-  // Everything observed under the old view is void: queue positions,
-  // snapshots, grants, acks. Same shape as withdraw_and_requeue, but the
-  // fresh tour covers the NEW view's replicas of our groups.
-  lt_.clear();
-  defer_ = false;
   acks_.clear();
   visited_.clear();
   usl_.clear();
-  for (const shard::GroupId g : groups_) {
-    for (const net::NodeId node : view.replicas_of(g)) {
-      if (!is_unavailable(node) &&
-          std::find(usl_.begin(), usl_.end(), node) == usl_.end()) {
-        usl_.push_back(node);
-      }
-    }
+  for (const net::NodeId node : *tour) {
+    if (!is_unavailable(node)) usl_.push_back(node);
   }
-  std::sort(usl_.begin(), usl_.end());
   phase_ = Phase::Traveling;
   stall_since_us_ = ctx.now().as_micros();
-  // Leave every Locking List and release any grants the withdrawn attempt
-  // held; the fresh tour re-queues this agent at the new replicas' tails.
+
+  // Leave every Locking List and release any grants a withdrawn attempt
+  // held. The fresh tour below re-appends this agent at the tails, behind
+  // everything it was blocking. Should a re-appended entry race a
+  // still-in-flight RELEASE and get swallowed, refresh() re-inserts the
+  // parked waiter on the next signal or patrol visit.
   const ReleasePayload release{id(), groups_};
   ctx.broadcast(kMsgRelease, release.encode());
   server.handle_release_local(release);
@@ -571,19 +500,11 @@ net::NodeId UpdateAgent::pick_next_target(agent::AgentContext& ctx) const {
 net::NodeId UpdateAgent::pick_stalest(agent::AgentContext& ctx) const {
   net::NodeId stalest = net::kInvalidNode;
   std::int64_t oldest = std::numeric_limits<std::int64_t>::max();
-  // Geometry tours patrol their candidate quorum, not the whole cluster;
-  // membership tours patrol their groups' replicas.
-  std::optional<quorum::NodeSet> members;
-  if (server_here(ctx).config().membership.enabled()) {
-    members = quorum::make_node_set(view_usl(ctx));
-  } else if (decision_quorum(ctx) != nullptr) {
-    members = current_quorum(ctx);
-    if (!members) return net::kInvalidNode;
-  }
-  const std::size_t n = server_here(ctx).cluster_size();
-  for (net::NodeId node = 0; node < n; ++node) {
+  // Patrol the tour, not the whole cluster.
+  const auto members = tour_set(ctx, server_here(ctx).installed());
+  if (!members) return net::kInvalidNode;
+  for (const net::NodeId node : *members) {
     if (node == ctx.here() || is_unavailable(node)) continue;
-    if (members && !quorum::contains(*members, node)) continue;
     // A server is as stale as its least-recently-observed group snapshot.
     std::int64_t stamp = std::numeric_limits<std::int64_t>::max();
     for (const shard::GroupId g : groups_) {
@@ -636,68 +557,37 @@ void UpdateAgent::on_migration_failed(agent::AgentContext& ctx,
   migration_retries_ = 0;
   current_target_ = net::kInvalidNode;
 
-  if (config.membership.enabled()) {
-    // Give up only when some group's quorum cannot survive the unavailable
-    // replicas; otherwise the remaining copies still intersect everything.
-    const quorum::NodeSet down = quorum::make_node_set(unavailable_);
-    for (const shard::GroupId g : groups_) {
-      const membership::MappedQuorum* gq = server.group_quorum(g);
-      if (gq == nullptr || !gq->pick_write_quorum(down, origin_)) {
-        abort(ctx);
-        return;
-      }
-    }
-    evaluate(ctx);
-    return;
-  }
-
-  if (decision_quorum(ctx) != nullptr) {
-    // A candidate-quorum member is unreachable: fall back to a quorum that
-    // avoids every unavailable server, or give up when none survives.
-    const auto members = current_quorum(ctx);
-    if (!members) {
+  // Give up only when some group's quorum cannot survive the unavailable
+  // servers — consistency requires that rather than writing a minority;
+  // otherwise the remaining copies still intersect everything.
+  const quorum::NodeSet down = quorum::make_node_set(unavailable_);
+  for (const shard::GroupId g : groups_) {
+    if (!mutant_pick_write_quorum(electorate(ctx, g).quorum(), down, origin_,
+                                  config.mutant)) {
       abort(ctx);
       return;
     }
-    server.protocol().note_quorum_reselection();
-    usl_.clear();
-    for (const net::NodeId node : *members) {
-      if (std::find(visited_.begin(), visited_.end(), node) == visited_.end()) {
-        usl_.push_back(node);
-      }
-    }
-    evaluate(ctx);
-    return;
   }
-
-  const std::uint32_t all_votes =
-      total_votes(config.votes, server.cluster_size());
-  std::uint32_t lost_votes = 0;
-  for (net::NodeId node : unavailable_) lost_votes += vote_of(config.votes, node);
-  if (2 * (all_votes - lost_votes) <= all_votes) {
-    // A majority of votes can no longer answer: consistency requires
-    // giving up rather than writing a minority.
-    abort(ctx);
-    return;
+  if (tours_quorum(ctx)) {
+    // A candidate-quorum member is unreachable: fall back to a quorum that
+    // avoids every unavailable server.
+    server.protocol().note_quorum_reselection();
+    tour_unvisited(*tour_set(ctx, server.installed()));
   }
   evaluate(ctx);
 }
 
 void UpdateAgent::begin_update(agent::AgentContext& ctx) {
   MarpServer& server = server_here(ctx);
-  // Geometry path: the first UPDATE goes to the candidate quorum only —
-  // the O(|Q|) message bill is the point of the smaller geometries. Retry
-  // rounds widen to every available server (see kTokenAckRetry): a minimal
-  // quorum has no spare ACKs, so retransmits buy robustness with
-  // redundancy instead. (COMMIT stays a broadcast: every replica applies
-  // the write.)
-  std::optional<quorum::NodeSet> members;
-  if (decision_quorum(ctx) != nullptr) {
-    members = current_quorum(ctx);
-    if (!members) {
-      abort(ctx);
-      return;
-    }
+  // The first UPDATE goes to the tour only — for a candidate quorum the
+  // O(|Q|) message bill is the point of the smaller geometries. Retry
+  // rounds widen to every available replica (see kTokenAckRetry). COMMIT
+  // stays a broadcast: every replica applies the write.
+  const std::optional<quorum::NodeSet> members =
+      tour_set(ctx, server.installed());
+  if (!members) {
+    abort(ctx);
+    return;
   }
   if (auto* t = tracer(ctx)) t->wait_end(id());
   phase_ = Phase::Updating;
@@ -723,15 +613,15 @@ void UpdateAgent::begin_update(agent::AgentContext& ctx) {
   if (auto* t = tracer(ctx)) t->update_round_begin(id(), ctx.here(), attempt_seq_);
   UpdatePayload payload{id(), ctx.here(), attempt_seq_, ops_, groups_};
   payload.epoch = epoch_;
-  const bool membership = server.config().membership.enabled();
   // Take the local grants first: if even the local server holds one of our
   // groups for another session, back off without spending any messages.
-  // (A fresh attempt from a live agent can never be Stale here.)
-  // Membership only: when the origin is not a replica of our groups, no
-  // local grant exists — the remote fan-out below carries the whole claim.
+  // (A fresh attempt from a live agent can never be Stale here.) When this
+  // server replicates none of our groups, no local grant exists — the
+  // remote fan-out below carries the whole claim.
   const bool local_replica =
-      !membership || quorum::contains(quorum::make_node_set(view_usl(ctx)),
-                                      ctx.here());
+      std::any_of(groups_.begin(), groups_.end(), [&](shard::GroupId g) {
+        return electorate(ctx, g).hosts(ctx.here());
+      });
   if (local_replica) {
     shard::GroupId conflict = 0;
     switch (server.handle_update_local(payload, &conflict)) {
@@ -739,9 +629,9 @@ void UpdateAgent::begin_update(agent::AgentContext& ctx) {
         break;
       case MarpServer::GrantResult::EpochStale:
         // The local server fenced us (newer epoch installed or promised).
-        if (server.view().epoch > epoch_ &&
+        if (server.epoch() > epoch_ &&
             server.config().mutant != ProtocolMutant::MixedEpoch) {
-          retour(ctx, server.view());
+          withdraw_and_requeue(ctx, &server.installed());
           return;
         }
         [[fallthrough]];
@@ -757,20 +647,9 @@ void UpdateAgent::begin_update(agent::AgentContext& ctx) {
         return;
     }
   }
-  if (membership) {
-    const serial::Bytes bytes = payload.encode();
-    for (const net::NodeId node : view_usl(ctx)) {
-      if (node == ctx.here()) continue;
-      ctx.send_to_node(node, kMsgUpdate, bytes);
-    }
-  } else if (members) {
-    const serial::Bytes bytes = payload.encode();
-    for (const net::NodeId node : *members) {
-      if (node == ctx.here()) continue;
-      ctx.send_to_node(node, kMsgUpdate, bytes);
-    }
-  } else {
-    ctx.broadcast(kMsgUpdate, payload.encode());
+  const serial::Bytes bytes = payload.encode();
+  for (const net::NodeId node : *members) {
+    if (node != ctx.here()) ctx.send_to_node(node, kMsgUpdate, bytes);
   }
 
   acks_.clear();
@@ -786,7 +665,7 @@ void UpdateAgent::begin_update(agent::AgentContext& ctx) {
 
 sim::SimTime UpdateAgent::ack_retry_delay(agent::AgentContext& ctx) const {
   const MarpConfig& config = server_here(ctx).config();
-  if (decision_quorum(ctx) == nullptr) return config.ack_retry_interval;
+  if (!tours_quorum(ctx)) return config.ack_retry_interval;
   const std::int64_t full = config.ack_retry_interval.as_micros();
   std::int64_t delay = full / 8;
   if (delay < 1) return config.ack_retry_interval;
@@ -794,25 +673,18 @@ sim::SimTime UpdateAgent::ack_retry_delay(agent::AgentContext& ctx) const {
   return sim::SimTime::micros(std::min(delay, full));
 }
 
-std::uint32_t UpdateAgent::ack_votes(agent::AgentContext& ctx) const {
-  const auto& votes = server_here(ctx).config().votes;
-  std::uint32_t sum = 0;
-  for (net::NodeId node : acks_) sum += vote_of(votes, node);
-  return sum;
-}
-
 void UpdateAgent::on_message(agent::AgentContext& ctx, net::MessageType type,
                              const serial::Bytes& payload) {
   if (type == kMsgEpochNotice) {
     // A server fenced our UPDATE: its view outran this session's epoch.
     const EpochNoticePayload notice = EpochNoticePayload::decode(payload);
-    MarpServer& server = server_here(ctx);
-    if (!server.config().membership.enabled() ||
-        server.config().mutant == ProtocolMutant::MixedEpoch) {
-      return;
-    }
+    const MarpConfig& config = server_here(ctx).config();
+    if (config.mutant == ProtocolMutant::MixedEpoch) return;
     if (phase_ == Phase::Done || phase_ == Phase::Committing) return;
-    if (notice.view.epoch > epoch_) retour(ctx, notice.view);
+    if (notice.view.epoch > epoch_) {
+      const auto newer = membership::install_view(notice.view, config.quorum);
+      withdraw_and_requeue(ctx, newer.get());
+    }
     return;
   }
   if (type == kMsgCommitAck) {
@@ -841,9 +713,8 @@ void UpdateAgent::on_message(agent::AgentContext& ctx, net::MessageType type,
       server_here(ctx).protocol().note_anomaly(Anomaly::StaleAck);
       return;
     }
-    const MarpConfig& config = server_here(ctx).config();
-    if (config.membership.enabled() && ack.epoch != epoch_ &&
-        config.mutant != ProtocolMutant::MixedEpoch) {
+    if (ack.epoch != epoch_ &&
+        server_here(ctx).config().mutant != ProtocolMutant::MixedEpoch) {
       // A grant stamped under a different view must not count towards this
       // epoch's quorum (the MixedEpoch mutant skips exactly this filter).
       server_here(ctx).protocol().note_anomaly(Anomaly::EpochStaleAck);
@@ -926,7 +797,7 @@ void UpdateAgent::finish_update(agent::AgentContext& ctx) {
   // Theorem 2 monitor: holding a majority of a group's grants is exclusive.
   // (The quorum probe fires here, synchronously — a fault injector acting on
   // it cuts links *between* quorum assembly and the COMMIT broadcast.)
-  server.protocol().note_update_quorum(id(), groups_, ctx.here(), epoch_);
+  server.protocol().note_update_quorum(id(), groups_, ctx.here());
   if (auto* t = tracer(ctx)) {
     t->update_round_end(id(), /*outcome=*/0);
     t->commit_fanout_begin(id(), ctx.here(), /*commit=*/true);
@@ -1097,8 +968,8 @@ void UpdateAgent::serialize(serial::Writer& w) const {
   w.varint(attempt_seq_);
   w.svarint(stall_since_us_);
   w.varint(stall_fingerprint_);
-  // Trailing optional (membership only): absent bytes keep the static
-  // deployment's migration sizes — and its virtual timing — bit-identical.
+  // Trailing optional, absent at epoch 0: a static deployment's migration
+  // sizes — and with them its virtual timing — carry no byte of it.
   if (epoch_ != 0) w.varint(epoch_);
 }
 

@@ -4,11 +4,14 @@
 // replicated servers appending itself to their locking lists, accumulates
 // locking information (LT) and finished-agent information (UAL), and — once
 // it holds the highest priority — synchronises to the freshest copy,
-// broadcasts UPDATE, collects a majority of acks, multicasts COMMIT, reports
-// to its origin, and disposes.
+// sends UPDATE, collects a write quorum of acks, multicasts COMMIT, reports
+// to its origin, and disposes. Which servers it tours and asks, and what
+// counts as a quorum, is the electorate of each of its lock groups
+// (membership/electorate.hpp).
 #pragma once
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -16,7 +19,7 @@
 #include "agent/agent.hpp"
 #include "marp/priority.hpp"
 #include "marp/wire.hpp"
-#include "membership/view.hpp"
+#include "membership/electorate.hpp"
 #include "replica/versioned_store.hpp"
 
 namespace marp::trace {
@@ -93,7 +96,13 @@ class UpdateAgent final : public agent::MobileAgent {
 
   void do_visit(agent::AgentContext& ctx);
   void evaluate(agent::AgentContext& ctx);
-  void withdraw_and_requeue(agent::AgentContext& ctx);
+  /// Leave every Locking List and re-tour from scratch: everything observed
+  /// so far (queue positions, snapshots, acks) is void. With `newer`, the
+  /// session met a newer view: it adopts that epoch and tours its replicas
+  /// (skipped wholesale by the MixedEpoch mutant). Aborts when no quorum
+  /// survives the unavailable servers.
+  void withdraw_and_requeue(agent::AgentContext& ctx,
+                            const membership::InstalledView* newer = nullptr);
   void begin_update(agent::AgentContext& ctx);
   /// Withdraw a losing update attempt and park until `holder` finishes.
   void demote(agent::AgentContext& ctx, const agent::AgentId& holder,
@@ -105,28 +114,35 @@ class UpdateAgent final : public agent::MobileAgent {
   /// server and the origin acked the REPORT.
   void maybe_finish_commit(agent::AgentContext& ctx);
 
-  /// Votes held by the servers that have acked the current attempt.
-  std::uint32_t ack_votes(agent::AgentContext& ctx) const;
-
-  /// Delay before the next UPDATE retransmit round. The majority (seed)
-  /// path always waits the configured interval. Geometry attempts start at
-  /// an eighth of it and double back up to the full interval: a minimal
-  /// quorum has no spare ACKs, so every lost message stalls the session
-  /// until the next round — under sustained link loss a conservative first
-  /// retry serialises the whole workload behind 100 ms stalls.
+  /// Delay before the next UPDATE retransmit round: the configured interval,
+  /// or — for a session touring a candidate quorum — an eighth of it,
+  /// doubling back up to the full interval. A minimal quorum has no spare
+  /// ACKs, so every lost message stalls the session until the next round;
+  /// under sustained link loss a conservative first retry serialises the
+  /// whole workload behind 100 ms stalls.
   sim::SimTime ack_retry_delay(agent::AgentContext& ctx) const;
 
-  /// The deployment's geometry handle, or null on the Majority (seed) path.
-  const quorum::QuorumSystem* decision_quorum(agent::AgentContext& ctx) const;
-  /// The candidate write quorum this agent tours. Recomputed on demand from
-  /// (unavailable_, origin_) — both already serialized — instead of being
-  /// carried explicitly, so the migrating byte size (and with it the
-  /// bandwidth-model virtual time) is untouched on every geometry.
-  /// nullopt = no quorum survives the unavailable servers. Non-majority
-  /// geometries only.
-  std::optional<quorum::NodeSet> current_quorum(agent::AgentContext& ctx) const;
-  /// Whether the acks gathered so far decide the update: a majority of
-  /// votes (seed arithmetic) or geometry write-coverage of the ack set.
+  /// Electorate of lock group `g` under the local server's installed view.
+  const membership::Electorate& electorate(agent::AgentContext& ctx,
+                                           shard::GroupId g) const;
+  /// Whether this session tours one candidate write quorum instead of every
+  /// replica (membership::Electorate::tours_quorum).
+  bool tours_quorum(agent::AgentContext& ctx) const;
+  /// The servers this session tours and sends its first UPDATE to under
+  /// `view`, ascending: per lock group, a candidate write quorum picked
+  /// around unavailable_ (preferring the origin) where the electorate tours
+  /// one, every replica otherwise. Recomputed on demand from state that is
+  /// already serialized, so the migrating byte size — and with it the
+  /// bandwidth-model virtual time — is untouched. nullopt = some group's
+  /// quorum does not survive the unavailable servers.
+  std::optional<quorum::NodeSet> tour_set(
+      agent::AgentContext& ctx, const membership::InstalledView& view) const;
+  /// Every replica of this session's groups under the installed view.
+  quorum::NodeSet replicas(agent::AgentContext& ctx) const;
+  /// Make the USL the part of `members` not visited yet (a re-selected
+  /// candidate quorum).
+  void tour_unvisited(const quorum::NodeSet& members);
+  /// Whether the acks gathered so far cover a write quorum of every group.
   bool ack_quorum_reached(agent::AgentContext& ctx) const;
 
   /// Next migration target per the routing policy, or kInvalidNode.
@@ -135,16 +151,6 @@ class UpdateAgent final : public agent::MobileAgent {
   net::NodeId pick_stalest(agent::AgentContext& ctx) const;
 
   bool is_unavailable(net::NodeId node) const;
-
-  // ---- dynamic membership (config.membership.enabled()) ----
-  /// Union of the local view's replicas of this agent's lock groups — the
-  /// membership-mode USL / UPDATE fan-out set, sorted ascending.
-  std::vector<net::NodeId> view_usl(agent::AgentContext& ctx) const;
-  /// Abort-and-re-tour under a newer view: leave every Locking List, drop
-  /// everything observed under the old epoch (queue positions, snapshots,
-  /// acks), adopt `view`'s epoch and tour its replicas from scratch.
-  /// Skipped wholesale by the MixedEpoch mutant.
-  void retour(agent::AgentContext& ctx, const membership::MembershipView& view);
 
   // --- migrating state (all serialized) ---
   net::NodeId origin_ = net::kInvalidNode;
@@ -194,8 +200,9 @@ class UpdateAgent final : public agent::MobileAgent {
   /// probable wait cycle, answered by withdraw_and_requeue().
   std::int64_t stall_since_us_ = 0;
   std::uint64_t stall_fingerprint_ = 0;
-  /// Birth epoch of the current tour (0 = static membership). Serialized as
-  /// a trailing optional field so the disabled path stays byte-identical.
+  /// Epoch of the view the current tour runs under (0 = static deployment).
+  /// Serialized as a trailing optional field, so a static deployment's
+  /// migrations carry no byte of it.
   std::uint64_t epoch_ = 0;
 
   // Not serialized: timers do not survive migration, so arming state resets

@@ -32,6 +32,13 @@ std::vector<shard::GroupId> MembershipView::groups_hosted(net::NodeId node) cons
   return groups;
 }
 
+bool MembershipView::gains(net::NodeId node, const MembershipView& before) const {
+  for (shard::GroupId g = 0; g < group_replicas.size(); ++g) {
+    if (hosts(node, g) && !before.hosts(node, g)) return true;
+  }
+  return false;
+}
+
 void MembershipView::serialize(serial::Writer& w) const {
   w.varint(epoch);
   w.varint(active.size());

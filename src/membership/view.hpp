@@ -14,8 +14,9 @@
 //   abort-and-re-tour under the new view, so no session ever assembles a
 //   quorum that mixes two views.
 //
-// Epoch 0 is reserved for "membership disabled": the seed protocol's
-// static, fully replicated world. Real views start at epoch 1.
+// Epoch 0 is the static deployment's degenerate view, in which every
+// server replicates every group (membership/electorate.hpp builds it).
+// Views from make_view() start at epoch 1.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +30,7 @@
 namespace marp::membership {
 
 struct MembershipView {
-  /// Monotonic reconfiguration counter; 0 = static membership (disabled).
+  /// Monotonic reconfiguration counter; 0 = the static deployment.
   std::uint64_t epoch = 0;
   /// Active servers of this epoch, sorted ascending.
   std::vector<net::NodeId> active;
@@ -51,6 +52,9 @@ struct MembershipView {
   bool hosts(net::NodeId node, shard::GroupId g) const;
   /// Groups whose replica list contains `node`, ascending.
   std::vector<shard::GroupId> groups_hosted(net::NodeId node) const;
+  /// Whether `node` hosts some group here that it does not host in `before`
+  /// (it must catch up on that group's data before serving grants).
+  bool gains(net::NodeId node, const MembershipView& before) const;
 
   void serialize(serial::Writer& w) const;
   static MembershipView deserialize(serial::Reader& r);

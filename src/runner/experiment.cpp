@@ -214,23 +214,14 @@ RunResult run_experiment(const ExperimentConfig& config) {
     }
   }
 
-  // Consistency audit. Under dynamic membership only the replicas hosting a
-  // key's group in the final view owe a copy — leavers and spares are
-  // exempt, as is any server whose installed epoch lags the final view
-  // (it was mid-change when the run ended).
-  ConsistencyReport audit;
-  if (marp != nullptr && marp->membership_enabled()) {
-    const membership::MembershipView& final_view = marp->current_view();
-    audit = check_scoped_convergence(
-        stores, stayed_up, marp->router(),
-        [&](std::size_t node, shard::GroupId g) {
-          const core::MarpServer& server = marp->server(node);
-          return final_view.hosts(static_cast<net::NodeId>(node), g) &&
-                 !server.retired() && server.view().epoch == final_view.epoch;
-        });
-  } else {
-    audit = check_convergence(stores, stayed_up);
-  }
+  // Consistency audit. Under MARP only the replicas hosting a key's group
+  // in the final view owe a copy — leavers and spares are exempt, as is any
+  // server whose installed epoch lags the final view (it was mid-change
+  // when the run ended). A static deployment's view hosts everything.
+  ConsistencyReport audit = check_convergence(
+      stores, stayed_up, [&](std::size_t node, const std::string& key) {
+        return marp == nullptr || marp->owes_copy(static_cast<net::NodeId>(node), key);
+      });
   for (std::size_t i = 0; i < stores.size(); ++i) {
     audit.merge(check_monotonic_history(*stores[i], i));
   }

@@ -533,9 +533,7 @@ void RealNode::handle_control(const rpc::Frame& frame,
       w.boolean(accepted);
       // Installed epoch at accept time; the activation lands one higher once
       // the propose gathers its acks.
-      w.varint(protocol_.membership_enabled()
-                   ? protocol_.server(config_.node).view().epoch
-                   : 0);
+      w.varint(protocol_.server(config_.node).epoch());
       if (reply) {
         reply(rpc::encode_frame(rpc::FrameType::ControlReply, config_.node,
                                 frame.header.src, req.xid, w.take(),
@@ -577,14 +575,12 @@ rpc::NodeStatus RealNode::status_locked() {
                !catching_up_;
   s.incarnation = config_.incarnation;
   s.catching_up = catching_up_;
-  if (protocol_.membership_enabled()) {
-    const core::MarpServer& local = protocol_.server(config_.node);
-    s.epoch = local.view().epoch;
-    s.retired = local.retired();
-    // A joiner mid-anti-entropy is not settled even with no local workload.
-    s.catching_up = s.catching_up || local.catching_up();
-    s.quiesced = s.quiesced && !local.catching_up();
-  }
+  const core::MarpServer& local = protocol_.server(config_.node);
+  s.epoch = local.epoch();
+  s.retired = local.retired();
+  // A joiner mid-anti-entropy is not settled even with no local workload.
+  s.catching_up = s.catching_up || local.catching_up();
+  s.quiesced = s.quiesced && !local.catching_up();
   return s;
 }
 

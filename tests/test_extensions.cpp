@@ -107,6 +107,43 @@ TEST(WeightedMarp, ContendedWeightedRunStaysExclusive) {
   EXPECT_EQ(stack.protocol.stats().mutex_violations, 0u);
 }
 
+TEST(WeightedMarp, MutualExclusionMonitorCountsVotes) {
+  // Grant injection against the Theorem-2 monitor under votes {3,3,1,1,1}
+  // (9 votes, a write quorum needs 5). Counting grant-holding servers gets
+  // both directions wrong: three light servers are a server majority but
+  // only 3 votes, and the two heavy servers are a server minority but 6.
+  MarpConfig config;
+  config.votes = {3, 3, 1, 1, 1};
+  Stack stack(5, config);
+  const agent::AgentId winner{0, 100, 0};
+  const agent::AgentId light{2, 200, 0};
+  const agent::AgentId heavy{3, 300, 0};
+  auto grant = [&](const agent::AgentId& agent, net::NodeId node,
+                   std::uint32_t attempt) {
+    UpdatePayload update;
+    update.agent = agent;
+    update.reply_to = node;
+    update.attempt = attempt;
+    update.groups = {0};
+    ASSERT_EQ(stack.protocol.server(node).handle_update_local(update),
+              MarpServer::GrantResult::Granted);
+  };
+
+  for (const net::NodeId node : {2u, 3u, 4u}) grant(light, node, 1);
+  stack.protocol.note_update_quorum(winner, {0}, 0);
+  EXPECT_EQ(stack.protocol.stats().mutex_violations, 0u)
+      << "3 of 9 votes is not a write quorum";
+
+  for (const net::NodeId node : {2u, 3u, 4u}) {
+    stack.protocol.server(node).handle_release_local(
+        ReleasePayload{light, {0}, net::kInvalidNode});
+  }
+  for (const net::NodeId node : {0u, 1u}) grant(heavy, node, 1);
+  stack.protocol.note_update_quorum(winner, {0}, 2);
+  EXPECT_EQ(stack.protocol.stats().mutex_violations, 1u)
+      << "6 of 9 votes is a write quorum";
+}
+
 TEST(WeightedMarp, MismatchedVoteVectorRejected) {
   sim::Simulator simulator(1);
   net::Network network(simulator, net::make_lan_mesh(5, 1_ms),

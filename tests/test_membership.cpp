@@ -417,7 +417,7 @@ TEST(MembershipMonitor, MixedEpochQuorumFlagged) {
   ASSERT_EQ(stack.protocol.server(3).handle_update_local(py),
             core::MarpServer::GrantResult::Granted);
   // Control: Y covers epoch 2's quorum but no competitor holds anything.
-  stack.protocol.note_update_quorum(session_y, {0}, 2, 2);
+  stack.protocol.note_update_quorum(session_y, {0}, 2);
   EXPECT_EQ(stack.protocol.stats().mutex_violations, 0u);
 
   // The mutant lets X take epoch-1 grants on {0,1} (1 is retired, 0 has
@@ -426,7 +426,7 @@ TEST(MembershipMonitor, MixedEpochQuorumFlagged) {
             core::MarpServer::GrantResult::Granted);
   ASSERT_EQ(stack.protocol.server(1).handle_update_local(px),
             core::MarpServer::GrantResult::Granted);
-  stack.protocol.note_update_quorum(session_y, {0}, 2, 2);
+  stack.protocol.note_update_quorum(session_y, {0}, 2);
   EXPECT_GE(stack.protocol.stats().mutex_violations, 1u);
 }
 
