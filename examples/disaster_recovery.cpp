@@ -1,18 +1,60 @@
 // Disaster recovery: periodic checkpoints by mobile agents, a bad deploy,
-// and an agent-driven rollback — with the execution timeline the paper's
-// prototype visualized (§4).
+// and an agent-driven rollback — with the agent itineraries the paper's
+// prototype visualized (§4), read back from the execution tracer.
 //
 // A 5-replica MARP cluster serves writes; a CheckpointAgent tours the
 // cluster sealing consistent snapshots; a buggy batch job then corrupts the
 // data; a RollbackAgent restores the last good checkpoint everywhere.
+#include <algorithm>
+#include <iomanip>
 #include <iostream>
+#include <map>
 #include <memory>
+#include <string>
 
 #include "checkpoint/checkpoint.hpp"
-#include "metrics/timeline.hpp"
 #include "net/latency.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
+#include "trace/tracer.hpp"
+
+namespace {
+
+/// Each agent's route — creation server, then every completed hop — and
+/// lifetime, from the tracer's Session and Migration spans.
+void print_itineraries(const marp::trace::Tracer& tracer, std::ostream& os) {
+  using marp::trace::SpanKind;
+  struct Itinerary {
+    std::string hops;
+    std::uint32_t failed_hops = 0;
+    double lifetime_ms = 0.0;
+  };
+  std::vector<marp::trace::SpanRecord> records = tracer.records();
+  std::stable_sort(records.begin(), records.end(),
+                   [](const auto& a, const auto& b) { return a.start_us < b.start_us; });
+  std::map<marp::agent::AgentId, Itinerary> itineraries;
+  for (const marp::trace::SpanRecord& record : records) {
+    Itinerary& itinerary = itineraries[record.agent];
+    if (record.kind == SpanKind::Session) {
+      itinerary.hops = std::to_string(record.node) + itinerary.hops;
+      itinerary.lifetime_ms = static_cast<double>(record.end_us - record.start_us) / 1000.0;
+    } else if (record.kind == SpanKind::Migration) {
+      if (record.aux2 == 0) {
+        itinerary.hops += " -> " + std::to_string(record.node);
+      } else {
+        ++itinerary.failed_hops;
+      }
+    }
+  }
+  os << std::fixed << std::setprecision(3);
+  for (const auto& [id, itinerary] : itineraries) {
+    os << id.to_string() << ": " << itinerary.hops;
+    if (itinerary.failed_hops != 0) os << "  (+" << itinerary.failed_hops << " failed hops)";
+    os << "  [" << itinerary.lifetime_ms << " ms]\n";
+  }
+}
+
+}  // namespace
 
 int main() {
   using namespace marp;
@@ -27,8 +69,8 @@ int main() {
   core::MarpProtocol marp(network, platform);
   checkpoint::CheckpointManager checkpoints(marp, platform);
 
-  metrics::Timeline timeline(simulator);
-  platform.set_observer(&timeline);
+  trace::Tracer tracer(simulator, 4096);
+  platform.set_observer(&tracer);
 
   std::uint64_t next_request = 1;
   auto write = [&](net::NodeId origin, const std::string& key,
@@ -88,7 +130,7 @@ int main() {
   std::cout << "replicas identical: " << (all_equal ? "yes" : "NO") << "\n\n";
 
   // The execution, as the agents lived it.
-  std::cout << "agent itineraries (from the timeline observer):\n";
-  timeline.print_itineraries(std::cout);
+  std::cout << "agent itineraries (from the execution tracer):\n";
+  print_itineraries(tracer, std::cout);
   return restored && all_equal ? 0 : 1;
 }

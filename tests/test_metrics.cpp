@@ -1,10 +1,11 @@
 // Metrics and workload tests: Welford statistics, percentiles, histograms,
-// table rendering, the Poisson request generator, and the ALT/ATT/PRK
-// computations of §4.
+// table rendering, the request generator and its arrival processes
+// (Poisson / Uniform / Bursty), and the ALT/ATT/PRK computations of §4.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "metrics/report.hpp"
 #include "metrics/stats.hpp"
@@ -205,6 +206,81 @@ TEST(Generator, PoissonArrivalsMatchConfiguredRate) {
   // Expect ~10000 arrivals over 100s at 10ms mean: within 5%.
   EXPECT_NEAR(static_cast<double>(count), 10000.0, 500.0);
   EXPECT_EQ(generator.generated(), count);
+}
+
+// ---------- arrival processes ----------
+
+double mean_gap_ms(workload::ArrivalProcess process, std::uint64_t seed,
+                   std::vector<double>* gaps_out = nullptr) {
+  sim::Simulator simulator(seed);
+  workload::WorkloadConfig config;
+  config.arrivals = process;
+  config.mean_interarrival_ms = 20.0;
+  config.duration = sim::SimTime::seconds(400);
+  std::vector<double> arrivals;
+  workload::RequestGenerator generator(
+      simulator, 1, config, [&](const replica::Request& request) {
+        arrivals.push_back(request.submitted.as_millis());
+      });
+  generator.start();
+  simulator.run();
+  double sum = 0.0;
+  std::vector<double> gaps;
+  for (std::size_t i = 1; i < arrivals.size(); ++i) {
+    gaps.push_back(arrivals[i] - arrivals[i - 1]);
+    sum += gaps.back();
+  }
+  if (gaps_out) *gaps_out = gaps;
+  return sum / static_cast<double>(gaps.size());
+}
+
+class ArrivalProcesses
+    : public ::testing::TestWithParam<workload::ArrivalProcess> {};
+
+TEST_P(ArrivalProcesses, LongRunMeanMatchesConfiguredRate) {
+  const double mean = mean_gap_ms(GetParam(), 31);
+  EXPECT_NEAR(mean, 20.0, 1.5);
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, ArrivalProcesses,
+                         ::testing::Values(workload::ArrivalProcess::Poisson,
+                                           workload::ArrivalProcess::Uniform,
+                                           workload::ArrivalProcess::Bursty),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case workload::ArrivalProcess::Poisson: return "Poisson";
+                             case workload::ArrivalProcess::Uniform: return "Uniform";
+                             case workload::ArrivalProcess::Bursty: return "Bursty";
+                           }
+                           return "?";
+                         });
+
+TEST(ArrivalProcessShape, BurstyHasHigherVarianceThanUniform) {
+  auto variance_of = [](workload::ArrivalProcess process) {
+    std::vector<double> gaps;
+    const double mean = mean_gap_ms(process, 32, &gaps);
+    double var = 0.0;
+    for (double gap : gaps) var += (gap - mean) * (gap - mean);
+    return var / static_cast<double>(gaps.size());
+  };
+  const double uniform = variance_of(workload::ArrivalProcess::Uniform);
+  const double poisson = variance_of(workload::ArrivalProcess::Poisson);
+  const double bursty = variance_of(workload::ArrivalProcess::Bursty);
+  EXPECT_LT(uniform, poisson);
+  EXPECT_LT(poisson, bursty);
+}
+
+TEST(ArrivalProcessShape, BurstyProducesTightClusters) {
+  std::vector<double> gaps;
+  mean_gap_ms(workload::ArrivalProcess::Bursty, 33, &gaps);
+  // With burst_size 8 and intra-gap mean/10, roughly 7/8 of gaps are short.
+  std::size_t short_gaps = 0;
+  for (double gap : gaps) {
+    if (gap < 10.0) ++short_gaps;  // < half the 20ms mean
+  }
+  const double fraction =
+      static_cast<double>(short_gaps) / static_cast<double>(gaps.size());
+  EXPECT_GT(fraction, 0.7);
 }
 
 TEST(Generator, WriteFractionIsRespected) {
