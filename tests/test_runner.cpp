@@ -227,6 +227,26 @@ TEST(Consistency, DetectsMissingKey) {
   EXPECT_FALSE(report.ok);
 }
 
+// Partial replication: the winner (replica 0) applied a commit, lost its
+// COMMIT to the other owner (replica 1) and crashed. Replica 2 does not
+// host the key's group. The crashed store holds the only copy, and the
+// replica owing it must still be reported missing it.
+TEST(Consistency, KeyHeldOnlyByAnIneligibleStoreIsStillOwed) {
+  replica::VersionedStore winner, owner, spare;
+  winner.apply("k", "v", {1, 0});
+  const auto owes = [](std::size_t i, const std::string&) { return i != 2; };
+  const auto report =
+      check_convergence({&winner, &owner, &spare}, {false, true, true}, owes);
+  EXPECT_FALSE(report.ok);
+  ASSERT_EQ(report.problems.size(), 1u);
+  EXPECT_NE(report.problems.front().find("replica 1 is missing key 'k'"),
+            std::string::npos);
+
+  owner.apply("k", "v", {1, 0});
+  EXPECT_TRUE(
+      check_convergence({&winner, &owner, &spare}, {false, true, true}, owes).ok);
+}
+
 TEST(Consistency, AcceptsIdenticalStores) {
   replica::VersionedStore a, b;
   a.apply("k", "v", {1, 0});
