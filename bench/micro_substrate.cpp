@@ -1,10 +1,14 @@
 // Micro-benchmarks for the substrate (google-benchmark): event queue,
-// RNG, serializer, agent-state round trip, network message delivery, and a
-// whole small MARP simulation as a macro sanity number.
+// RNG, serializer, agent-state round trip, UAL merge, network message delivery,
+// and a whole small MARP simulation as a macro sanity number.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
+#include "agent/platform.hpp"
+#include "marp/protocol.hpp"
 #include "marp/update_agent.hpp"
 #include "net/latency.hpp"
 #include "net/network.hpp"
@@ -14,6 +18,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "workload/generator.hpp"
 
 namespace {
 
@@ -65,15 +70,61 @@ void BM_SerializerRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_SerializerRoundTrip)->Arg(16)->Arg(256);
 
+/// An UpdateAgent caught mid-tour in perfbench's sim-mixed configuration
+/// (N = 64 on the LAN model, grid quorum, 16 lock groups, half quorum-agent
+/// reads, Poisson arrivals at 400 ms mean per server, seed 1): the first
+/// resident one whose UAL holds at least 200 ids. Its UAL and per-group
+/// Locking Tables are what a migration in that workload really carries.
+const core::UpdateAgent& loaded_agent() {
+  static const std::unique_ptr<core::UpdateAgent> captured = [] {
+    const runner::ExperimentConfig lan;  // the LAN model's defaults
+    core::MarpConfig marp;
+    marp.quorum.geometry = quorum::Geometry::Grid;
+    marp.num_lock_groups = 16;
+    marp.read_mode = core::ReadMode::QuorumAgent;
+    workload::WorkloadConfig load;
+    load.arrivals = workload::ArrivalProcess::Poisson;
+    load.write_fraction = 0.5;
+    load.num_keys = 512;
+    load.mean_interarrival_ms = 400.0;
+    load.duration = sim::SimTime::seconds(10);
+    constexpr std::size_t kServers = 64;
+
+    sim::Simulator simulator(1);
+    const net::Topology topology = net::make_lan_mesh(kServers, lan.lan_base);
+    net::Network network(simulator, topology,
+                         std::make_unique<net::LanLatency>(
+                             topology.delays, lan.lan_jitter_mean_us, lan.lan_bytes_per_us));
+    agent::AgentPlatform platform(network);
+    core::MarpProtocol protocol(network, platform, marp);
+    workload::RequestGenerator generator(
+        simulator, kServers, load,
+        [&protocol](const replica::Request& request) { protocol.submit(request); });
+    generator.start();
+    while (simulator.now() < load.duration) {
+      simulator.run(simulator.now() + sim::SimTime::millis(10));
+      for (net::NodeId node = 0; node < kServers; ++node) {
+        for (const agent::MobileAgent* resident : platform.host(node).resident_agents()) {
+          const auto* agent = dynamic_cast<const core::UpdateAgent*>(resident);
+          if (agent == nullptr || agent->updated_agents().size() < 200) continue;
+          auto copy = std::make_unique<core::UpdateAgent>();
+          serial::Writer w;
+          agent->serialize(w);
+          serial::Reader r(w.bytes());
+          copy->deserialize(r);
+          return copy;
+        }
+      }
+    }
+    throw std::runtime_error("no update agent reached a 200-id UAL");
+  }();
+  return *captured;
+}
+
 void BM_UpdateAgentStateRoundTrip(benchmark::State& state) {
-  // Serialize/deserialize a realistically loaded agent — the per-migration
-  // cost of the platform.
-  std::vector<core::UpdateAgent::PendingWrite> writes;
-  for (int i = 0; i < 4; ++i) {
-    writes.push_back({static_cast<std::uint64_t>(i), "item",
-                      std::string(64, 'x')});
-  }
-  core::UpdateAgent agent(0, writes);
+  // Serialize/deserialize a realistically loaded agent (loaded_agent()) —
+  // the per-migration cost of the platform.
+  const core::UpdateAgent& agent = loaded_agent();
   serial::Writer seed_writer;
   agent.serialize(seed_writer);
   const serial::Bytes bytes = seed_writer.take();
@@ -85,8 +136,28 @@ void BM_UpdateAgentStateRoundTrip(benchmark::State& state) {
     copy.serialize(w);
     benchmark::DoNotOptimize(w.size());
   }
+  state.counters["ual_ids"] = static_cast<double>(agent.updated_agents().size());
+  state.counters["state_bytes"] = static_cast<double>(bytes.size());
 }
 BENCHMARK(BM_UpdateAgentStateRoundTrip);
+
+void BM_UalMerge(benchmark::State& state) {
+  // One visit's gossip merge: a server's full 256-entry Updated List view
+  // into a 200-id UAL that already holds 144 of them. Each iteration merges
+  // into a fresh copy of the UAL, as each hop rehydrates its own.
+  std::vector<agent::AgentId> ids;
+  for (std::uint32_t i = 0; i < 312; ++i) {
+    ids.push_back({i % 64, 1'000'000 + 997 * static_cast<std::int64_t>(i), i});
+  }
+  const core::DoneSet ual(std::vector<agent::AgentId>(ids.begin(), ids.begin() + 200));
+  const core::DoneSet ul(std::vector<agent::AgentId>(ids.begin() + 56, ids.end()));
+  for (auto _ : state) {
+    core::DoneSet merged = ual;
+    merged.merge(ul);
+    benchmark::DoNotOptimize(merged.size());
+  }
+}
+BENCHMARK(BM_UalMerge);
 
 void BM_NetworkUnicastDelivery(benchmark::State& state) {
   for (auto _ : state) {

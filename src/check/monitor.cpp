@@ -73,10 +73,13 @@ quorum::NodeSet InvariantMonitor::grants_of(const agent::AgentId& agent,
 
 void InvariantMonitor::check_quorum_agreement(const core::PhaseEvent& event) {
   // Ground truth "done" set: exactly the sessions that actually committed.
-  core::DoneSet done;
+  // Built in bulk: one insertion per record would be quadratic.
+  std::vector<agent::AgentId> committed;
+  committed.reserve(protocol_.commit_log().size());
   for (const core::CommitRecord& record : protocol_.commit_log()) {
-    done.insert(record.agent);
+    committed.push_back(record.agent);
   }
+  const core::DoneSet done(std::move(committed));
 
   for (shard::GroupId g = 0; g < config_.lock_groups; ++g) {
     // Did this quorum cover group g? A quorum in g means a majority of

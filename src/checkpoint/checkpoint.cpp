@@ -126,7 +126,7 @@ void write_nodes(serial::Writer& w, const std::vector<net::NodeId>& nodes) {
 }
 
 std::vector<net::NodeId> read_nodes(serial::Reader& r) {
-  const std::uint64_t n = r.varint();
+  const std::uint64_t n = r.length_prefix();
   std::vector<net::NodeId> nodes;
   nodes.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {

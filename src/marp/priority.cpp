@@ -205,41 +205,15 @@ std::vector<agent::AgentId> predicted_order(const LockTable& table,
                                             std::size_t limit) {
   std::vector<agent::AgentId> order;
   DoneSet simulated = done;
-  for (;;) {
-    if (limit != 0 && order.size() >= limit) break;
-    // The next winner under TotalOrder, with everyone ranked so far
-    // treated as committed (their queue entries logically removed).
-    const auto counts = top_counts(table, simulated, votes);
-    if (counts.empty()) break;
-    const std::uint32_t all_votes = total_votes(votes, n_servers);
-    std::optional<agent::AgentId> winner;
-    std::uint32_t best_count = 0;
-    for (const auto& [id, count] : counts) {
-      if (2 * count > all_votes) {
-        winner = id;
-        break;
-      }
-      if (count > best_count) best_count = count;
-    }
-    if (!winner) {
-      // Tie path needs every head known; otherwise the prediction stops.
-      std::size_t known_heads = 0;
-      for (const auto& [node, snapshot] : table) {
-        if (snapshot.known() && filtered_head(snapshot.agents, simulated)) {
-          ++known_heads;
-        }
-      }
-      if (known_heads < n_servers) break;
-      for (const auto& [id, count] : counts) {  // ascending id: first max wins
-        if (count == best_count) {
-          winner = id;
-          break;
-        }
-      }
-    }
-    if (!winner) break;
-    order.push_back(*winner);
-    simulated.insert(*winner);
+  while (limit == 0 || order.size() < limit) {
+    // The next TotalOrder winner, with everyone ranked so far treated as
+    // committed (their queue entries logically removed). The prediction
+    // stops where decide() has no winner for anyone.
+    const Decision next = decide(table, simulated, agent::AgentId{}, n_servers,
+                                 TieBreakMode::TotalOrder, votes);
+    if (!next.winner) break;
+    order.push_back(*next.winner);
+    simulated.insert(*next.winner);
   }
   return order;
 }

@@ -9,10 +9,10 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "agent/agent_id.hpp"
+#include "agent/id_set.hpp"
 #include "marp/config.hpp"
 #include "net/message.hpp"
 #include "quorum/quorum.hpp"
@@ -43,8 +43,8 @@ using LockTable = std::map<net::NodeId, LockSnapshot>;
 /// migrating state stays proportional to the write-set, not the shard count.
 using GroupLockTable = std::map<shard::GroupId, LockTable>;
 
-/// Set of agents known to have finished (the agent's UAL, §3.2).
-using DoneSet = std::set<agent::AgentId>;
+/// Set of agents known to have finished (the agent's UAL, §3.2), ascending.
+using DoneSet = agent::AgentIdSet;
 
 /// Effective head of a snapshot once finished agents are filtered out.
 /// Entries ahead of a live agent can only disappear by finishing, so the

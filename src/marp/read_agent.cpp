@@ -241,7 +241,7 @@ void ReadAgent::deserialize(serial::Reader& r) {
   best_.value = r.str();
   best_.version = replica::Version::deserialize(r);
   auto read_nodes = [](serial::Reader& rr) {
-    const std::uint64_t n = rr.varint();
+    const std::uint64_t n = rr.length_prefix();
     std::vector<net::NodeId> nodes;
     nodes.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {

@@ -245,7 +245,7 @@ VisitResult MarpServer::visit(const agent::AgentId& visitor,
         g, LockSnapshot{grp.ll.snapshot(), now().as_micros()});
   }
   touch_agent(visitor);
-  result.updated_list = ul_.snapshot();
+  result.updated_list = ul_.ascending();
   result.routing_costs = routing_costs();
   for (const std::string& key : keys) {
     if (auto value = store_.read(key)) result.data.emplace(key, *value);
@@ -282,7 +282,7 @@ MarpServer::RefreshResult MarpServer::refresh(
         g, LockSnapshot{grp.ll.snapshot(), now().as_micros()});
   }
   touch_agent(visitor);
-  result.updated_list = ul_.snapshot();
+  result.updated_list = ul_.ascending();
   return result;
 }
 

@@ -44,7 +44,7 @@ inline constexpr const char* kMarpServiceName = "marp";
 /// keys it will write, and any gossip left by earlier visitors.
 struct VisitResult {
   std::map<shard::GroupId, LockSnapshot> locking_lists;
-  std::vector<agent::AgentId> updated_list;
+  agent::AgentIdSet updated_list;  ///< the UL, ascending
   std::vector<std::int64_t> routing_costs;
   std::map<std::string, replica::VersionedValue> data;
   GroupLockTable gossip;
@@ -84,7 +84,7 @@ class MarpServer : public replica::ServerBase {
   /// Empty `groups` means group 0.
   struct RefreshResult {
     std::map<shard::GroupId, LockSnapshot> locking_lists;
-    std::vector<agent::AgentId> updated_list;
+    agent::AgentIdSet updated_list;  ///< the UL, ascending
   };
   RefreshResult refresh(const agent::AgentId& visitor,
                         const std::vector<shard::GroupId>& groups = {});

@@ -294,7 +294,7 @@ void UpdateAgent::do_visit(agent::AgentContext& ctx) {
     lt_[group][ctx.here()] = snapshot;
   }
   if (config.gossip) merge_group_lock_tables(lt_, result.gossip);
-  for (const agent::AgentId& done : result.updated_list) ual_.insert(done);
+  ual_.merge(result.updated_list);
   for (const auto& [key, value] : result.data) {
     auto& best = freshest_[key];
     if (value.version > best.version) best = value;
@@ -917,7 +917,7 @@ void UpdateAgent::on_signal(agent::AgentContext& ctx, std::uint32_t signal) {
   for (const auto& [group, snapshot] : result.locking_lists) {
     lt_[group][ctx.here()] = snapshot;
   }
-  for (const agent::AgentId& done : result.updated_list) ual_.insert(done);
+  ual_.merge(result.updated_list);
   evaluate(ctx);
 }
 
@@ -941,8 +941,7 @@ void UpdateAgent::serialize(serial::Writer& w) const {
   w.varint(groups_.size());
   for (const shard::GroupId g : groups_) w.varint(g);
   serialize_group_lock_table(w, lt_);
-  w.varint(ual_.size());
-  for (const agent::AgentId& done : ual_) done.serialize(w);
+  ual_.serialize(w);
   w.varint(freshest_.size());
   for (const auto& [key, value] : freshest_) {
     w.str(key);
@@ -986,7 +985,7 @@ void UpdateAgent::deserialize(serial::Reader& r) {
   dispatched_us_ = r.svarint();
   lock_obtained_us_ = r.svarint();
   auto read_nodes = [](serial::Reader& rr) {
-    const std::uint64_t n = rr.varint();
+    const std::uint64_t n = rr.length_prefix();
     std::vector<net::NodeId> nodes;
     nodes.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -1003,9 +1002,7 @@ void UpdateAgent::deserialize(serial::Reader& r) {
     groups_.push_back(static_cast<shard::GroupId>(r.varint()));
   }
   lt_ = deserialize_group_lock_table(r);
-  ual_.clear();
-  const std::uint64_t ual_size = r.varint();
-  for (std::uint64_t i = 0; i < ual_size; ++i) ual_.insert(agent::AgentId::deserialize(r));
+  ual_ = DoneSet::deserialize(r);
   freshest_.clear();
   const std::uint64_t fresh_size = r.varint();
   for (std::uint64_t i = 0; i < fresh_size; ++i) {

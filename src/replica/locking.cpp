@@ -55,21 +55,18 @@ LockingList LockingList::deserialize(serial::Reader& r) {
 }
 
 void UpdatedList::add(const agent::AgentId& agent) {
-  if (contains(agent)) return;
-  entries_.push_back(agent);
-  while (entries_.size() > capacity_) entries_.pop_front();
-}
-
-bool UpdatedList::contains(const agent::AgentId& agent) const {
-  return std::find(entries_.begin(), entries_.end(), agent) != entries_.end();
+  if (capacity_ == 0 || contains(agent)) return;
+  // Evict before inserting, so the ascending view never outgrows capacity.
+  if (completed_.size() == capacity_) {
+    ascending_.erase(completed_.front());
+    completed_.pop_front();
+  }
+  ascending_.insert(agent);
+  completed_.push_back(agent);
 }
 
 void UpdatedList::merge(const std::vector<agent::AgentId>& other) {
   for (const auto& id : other) add(id);
-}
-
-std::vector<agent::AgentId> UpdatedList::snapshot() const {
-  return {entries_.begin(), entries_.end()};
 }
 
 }  // namespace marp::replica

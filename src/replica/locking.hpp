@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "agent/agent_id.hpp"
+#include "agent/id_set.hpp"
 #include "sim/time.hpp"
 
 namespace marp::replica {
@@ -55,17 +56,21 @@ class UpdatedList {
   /// Record a completed update; keeps at most `capacity` recent entries.
   explicit UpdatedList(std::size_t capacity = 256) : capacity_(capacity) {}
 
+  /// At capacity the entry that completed longest ago is evicted —
+  /// completion order, not id order.
   void add(const agent::AgentId& agent);
-  bool contains(const agent::AgentId& agent) const;
-  std::size_t size() const noexcept { return entries_.size(); }
+  bool contains(const agent::AgentId& agent) const { return ascending_.contains(agent); }
+  std::size_t size() const noexcept { return completed_.size(); }
 
   /// Merge another list's contents into this one (gossip).
   void merge(const std::vector<agent::AgentId>& other);
 
-  std::vector<agent::AgentId> snapshot() const;
+  /// The entries ascending by id — what a visiting agent merges into its UAL.
+  const agent::AgentIdSet& ascending() const noexcept { return ascending_; }
 
  private:
-  std::deque<agent::AgentId> entries_;
+  std::deque<agent::AgentId> completed_;  ///< completion order, for eviction
+  agent::AgentIdSet ascending_;           ///< the same ids, ascending
   std::size_t capacity_;
 };
 

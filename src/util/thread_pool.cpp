@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 namespace marp {
 
@@ -53,7 +54,17 @@ void parallel_for(ThreadPool& pool, std::size_t count,
   for (std::size_t i = 0; i < count; ++i) {
     futures.push_back(pool.submit([&fn, i] { fn(i); }));
   }
-  for (auto& f : futures) f.get();  // propagate exceptions
+  // Every task borrows `fn`, so all of them must finish before this frame
+  // returns: rethrow the first exception only once the rest are done.
+  std::exception_ptr first;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
 }
 
 }  // namespace marp

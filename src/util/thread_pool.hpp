@@ -55,7 +55,8 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Run `fn(i)` for i in [0, count) across the pool and wait for completion.
+/// Run `fn(i)` for i in [0, count) across the pool and wait for completion;
+/// the first exception a call threw is rethrown once every call is done.
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn);
 

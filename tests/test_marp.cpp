@@ -283,6 +283,46 @@ TEST(Marp, UpdateAgentStateSurvivesSerializationMidFlight) {
   EXPECT_EQ(w1.bytes(), w2.bytes());
 }
 
+TEST(Marp, LoadedUpdateAgentsSurviveTheFrameCodec) {
+  // Agents caught mid-tour after earlier commits carry a populated UAL and
+  // per-group Locking Tables, which a fresh agent never has. Each must
+  // re-encode to the identical migration frame after a trip through the
+  // platform's frame codec.
+  MarpConfig config;
+  config.num_lock_groups = 4;
+  Stack stack(7, config);
+  std::size_t captured = 0;
+  std::size_t largest_ual = 0;
+  for (std::uint64_t i = 1; i <= 300; ++i) {
+    const auto origin = static_cast<net::NodeId>(i % 7);
+    stack.protocol.submit(stack.write(i, origin, "v" + std::to_string(i),
+                                      "key" + std::to_string(i % 11)));
+    stack.simulator.run(stack.simulator.now() + 3_ms);
+    for (net::NodeId node = 0; node < 7; ++node) {
+      for (const agent::MobileAgent* resident :
+           stack.platform.host(node).resident_agents()) {
+        const auto* agent = dynamic_cast<const UpdateAgent*>(resident);
+        if (agent == nullptr || agent->updated_agents().empty() ||
+            agent->lock_tables().empty()) {
+          continue;
+        }
+        const serial::Bytes frame = stack.platform.encode_frame(*agent);
+        const std::unique_ptr<agent::MobileAgent> back =
+            stack.platform.decode_frame(frame);
+        const auto* copy = dynamic_cast<const UpdateAgent*>(back.get());
+        ASSERT_NE(copy, nullptr);
+        EXPECT_EQ(copy->updated_agents(), agent->updated_agents());
+        EXPECT_EQ(stack.platform.encode_frame(*copy), frame);
+        ++captured;
+        largest_ual = std::max(largest_ual, agent->updated_agents().size());
+      }
+    }
+  }
+  stack.simulator.run();
+  EXPECT_GE(captured, 20u);
+  EXPECT_GE(largest_ual, 20u);
+}
+
 TEST(Marp, SingleServerDegenerateClusterWorks) {
   Stack stack(1);
   stack.protocol.submit(stack.write(1, 0, "solo"));

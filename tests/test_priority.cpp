@@ -25,6 +25,70 @@ TEST(FilteredHead, SkipsFinishedAgents) {
   EXPECT_FALSE(filtered_head({}, {}).has_value());
 }
 
+std::vector<agent::AgentId> ids_of(const DoneSet& done) {
+  return {done.begin(), done.end()};
+}
+
+serial::Bytes encode_run(const std::vector<agent::AgentId>& run) {
+  serial::Writer w;
+  w.varint(run.size());
+  for (const agent::AgentId& id : run) id.serialize(w);
+  return w.take();
+}
+
+TEST(DoneSet, DecodesAnyRunToTheSetInsertBuilds) {
+  // The UAL's bytes may be outside input: an unsorted, repeated run must
+  // decode to the set that inserting those ids builds, and re-encode
+  // ascending and unique.
+  const std::vector<agent::AgentId> run{aid(3), aid(1), aid(3), aid(2), aid(1)};
+  const serial::Bytes bytes = encode_run(run);
+  serial::Reader r(bytes);
+  const DoneSet decoded = DoneSet::deserialize(r);
+  EXPECT_TRUE(r.at_end());
+  DoneSet inserted;
+  for (const agent::AgentId& id : run) inserted.insert(id);
+  EXPECT_EQ(decoded, inserted);
+  EXPECT_EQ(ids_of(decoded), (std::vector<agent::AgentId>{aid(1), aid(2), aid(3)}));
+  serial::Writer again;
+  decoded.serialize(again);
+  EXPECT_EQ(again.bytes(), encode_run({aid(1), aid(2), aid(3)}));
+}
+
+TEST(DoneSet, OversizedCountIsADecodeError) {
+  serial::Writer w;
+  w.varint(std::uint64_t{1} << 40);
+  aid(1).serialize(w);
+  aid(2).serialize(w);
+  serial::Reader r(w.bytes());
+  EXPECT_THROW(DoneSet::deserialize(r), serial::DecodeError);
+}
+
+TEST(DoneSet, BehavesAsAStdSet) {
+  // insert / erase / merge / contains against std::set on random ids.
+  sim::Rng rng(11);
+  for (int trial = 0; trial < 200; ++trial) {
+    DoneSet a, b;
+    std::set<agent::AgentId> ref_a, ref_b;
+    for (int i = 0; i < 30; ++i) {
+      const agent::AgentId id = aid(static_cast<std::uint32_t>(rng.bounded(40)));
+      if (rng.bounded(2) == 0) {
+        EXPECT_EQ(a.insert(id), ref_a.insert(id).second);
+      } else {
+        EXPECT_EQ(b.insert(id), ref_b.insert(id).second);
+      }
+      if (rng.bounded(5) == 0) {
+        EXPECT_EQ(a.erase(id), ref_a.erase(id) == 1);
+      }
+    }
+    a.merge(b);
+    ref_a.insert(ref_b.begin(), ref_b.end());
+    EXPECT_EQ(ids_of(a), (std::vector<agent::AgentId>(ref_a.begin(), ref_a.end())));
+    for (std::uint32_t n = 0; n < 40; ++n) {
+      EXPECT_EQ(a.contains(aid(n)), ref_a.contains(aid(n)));
+    }
+  }
+}
+
 TEST(TopCounts, CountsHeadsAcrossServers) {
   LockTable table;
   table[0] = snap({aid(1), aid(2)});

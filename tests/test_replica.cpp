@@ -134,6 +134,27 @@ TEST(UpdatedList, DeduplicatesAndBounds) {
   EXPECT_TRUE(ul.contains(d));
 }
 
+TEST(UpdatedList, EvictsInCompletionOrderNotIdOrder) {
+  UpdatedList ul(3);
+  const agent::AgentId a{0, 1, 0}, b{0, 2, 0}, c{0, 3, 0}, d{0, 4, 0}, e{0, 5, 0};
+  ul.add(c);
+  ul.add(a);
+  ul.add(d);  // completed c, a, d; the view is ascending all the same
+  EXPECT_EQ(std::vector<agent::AgentId>(ul.ascending().begin(), ul.ascending().end()),
+            (std::vector<agent::AgentId>{a, c, d}));
+  ul.add(b);  // evicts c, the oldest completed — not a, the smallest id
+  EXPECT_FALSE(ul.contains(c));
+  EXPECT_TRUE(ul.contains(a));
+  EXPECT_EQ(std::vector<agent::AgentId>(ul.ascending().begin(), ul.ascending().end()),
+            (std::vector<agent::AgentId>{a, b, d}));
+  ul.add(a);  // already recorded: keeps its completion slot
+  ul.add(e);  // so a is the next evicted
+  EXPECT_FALSE(ul.contains(a));
+  EXPECT_EQ(std::vector<agent::AgentId>(ul.ascending().begin(), ul.ascending().end()),
+            (std::vector<agent::AgentId>{b, d, e}));
+  EXPECT_EQ(ul.size(), 3u);
+}
+
 TEST(UpdatedList, MergeIsUnion) {
   UpdatedList ul;
   const agent::AgentId a{0, 1, 0}, b{0, 2, 0};

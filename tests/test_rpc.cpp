@@ -14,6 +14,7 @@
 
 #include "agent/platform.hpp"
 #include "marp/protocol.hpp"
+#include "marp/read_agent.hpp"
 #include "marp/update_agent.hpp"
 #include "marp/wire.hpp"
 #include "net/latency.hpp"
@@ -538,6 +539,52 @@ TEST(AgentTransfer, TruncatedMigrationFramesAreRejected) {
                                frame.begin() + static_cast<std::ptrdiff_t>(cut));
     EXPECT_THROW(platform.decode_frame(prefix), serial::DecodeError)
         << "cut " << cut << "/" << frame.size();
+  }
+}
+
+TEST(AgentTransfer, HugeNodeListCountsAreDecodeErrors) {
+  // A corrupt count must be rejected before anything is reserved for it:
+  // 2^40 node ids is a 4 TiB reservation (std::bad_alloc) and 2^62 more
+  // than a vector can hold (std::length_error). Neither is a DecodeError,
+  // so a node's frame handler would let either escape and end the node.
+  sim::Simulator simulator(1);
+  net::Network network(simulator, net::make_lan_mesh(3, sim::SimTime::micros(500)),
+                       std::make_unique<net::ConstantLatency>(sim::SimTime::micros(500)));
+  agent::AgentPlatform platform(network);
+  core::MarpProtocol protocol(network, platform, core::MarpConfig{});
+
+  // Each agent type's state up to its USL (un-visited servers list) count.
+  const auto update_prefix = [](serial::Writer& w) {
+    w.varint(1);   // origin
+    w.varint(0);   // no pending writes
+    w.u8(0);       // phase
+    w.svarint(0);  // dispatched
+    w.svarint(0);  // lock obtained
+  };
+  const auto read_prefix = [](serial::Writer& w) {
+    w.varint(1);  // origin
+    w.varint(7);  // request id
+    w.str("key");
+    w.varint(2);  // votes needed
+    w.varint(0);  // votes gathered
+    w.str("");    // best value
+    replica::Version{}.serialize(w);
+  };
+  using Prefix = void (*)(serial::Writer&);
+  for (const std::uint64_t count : {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+    for (const auto& [type, prefix] : {std::pair<const char*, Prefix>{core::kUpdateAgentType, update_prefix},
+                                       std::pair<const char*, Prefix>{core::kReadAgentType, read_prefix}}) {
+      serial::Writer state;
+      prefix(state);
+      state.varint(count);
+      for (int i = 0; i < 16; ++i) state.varint(1);  // a few node ids follow
+      serial::Writer frame;
+      frame.str(type);
+      agent::AgentId{1, 5, 0}.serialize(frame);
+      frame.raw(state.bytes());
+      EXPECT_THROW(platform.decode_frame(frame.bytes()), serial::DecodeError)
+          << type << " with a USL count of " << count;
+    }
   }
 }
 

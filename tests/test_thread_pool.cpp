@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -143,6 +144,21 @@ TEST(ThreadPool, ParallelForPropagatesFirstException) {
   pool.wait_idle();  // pool must still be usable afterwards
   auto future = pool.submit([] { return 1; });
   EXPECT_EQ(future.get(), 1);
+}
+
+TEST(ThreadPool, ParallelForWaitsForEveryCallBeforeRethrowing) {
+  // Every call borrows `fn`: rethrowing while some still run would leave
+  // them calling a function object whose owner has moved on.
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  const std::function<void(std::size_t)> fn = [&finished](std::size_t i) {
+    if (i == 0) throw std::runtime_error("index 0");
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ++finished;
+  };
+  EXPECT_THROW(parallel_for(pool, 4, fn), std::runtime_error);
+  EXPECT_EQ(finished.load(), 3);
+  pool.wait_idle();  // stragglers, if any, finish before fn goes away
 }
 
 TEST(ThreadPool, ManyProducersSubmitConcurrently) {
