@@ -1,8 +1,10 @@
 // Micro-benchmarks for the substrate (google-benchmark): event queue,
-// RNG, serializer, agent-state round trip, UAL merge, network message delivery,
-// and a whole small MARP simulation as a macro sanity number.
+// RNG, serializer, agent-state round trip, UAL merge, the wire framer and its
+// checksum, network message delivery, and a whole small MARP simulation as a
+// macro sanity number.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "net/latency.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
+#include "rpc/frame.hpp"
 #include "runner/experiment.hpp"
 #include "serial/byte_buffer.hpp"
 #include "sim/event_queue.hpp"
@@ -158,6 +161,56 @@ void BM_UalMerge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UalMerge);
+
+void BM_FrameStreamDecode(benchmark::State& state) {
+  // The node's receive path without the socket: a buffer of encoded frames
+  // at cluster-uds sizes (seven ~200 B AppMessage bodies per ~2.1 KB agent
+  // transfer, checksummed) fed to a FrameStream in 64 KiB recv-sized pieces
+  // and cut back into frames, checksum verified.
+  sim::Rng rng(11);
+  serial::Bytes wire;
+  std::int64_t frames = 0;
+  for (std::uint64_t seq = 0; seq < 256; ++seq) {
+    const bool agent = seq % 8 == 7;
+    serial::Bytes body(agent ? 2100 : 200);
+    for (auto& b : body) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    const serial::Bytes frame = rpc::encode_frame(
+        agent ? rpc::FrameType::AgentTransfer : rpc::FrameType::AppMessage, 0, 1, seq,
+        body);
+    wire.insert(wire.end(), frame.begin(), frame.end());
+    ++frames;
+  }
+  constexpr std::size_t kRecv = 64 * 1024;
+  rpc::FrameStream stream;
+  rpc::Frame frame;
+  for (auto _ : state) {
+    std::int64_t cut = 0;
+    for (std::size_t at = 0; at < wire.size(); at += kRecv) {
+      stream.append(wire.data() + at, std::min(kRecv, wire.size() - at));
+      while (stream.next(&frame) == rpc::DecodeStatus::Ok) ++cut;
+    }
+    benchmark::DoNotOptimize(frame.body.data());
+    if (cut != frames) state.SkipWithError("framer lost frames");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * frames);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(wire.size()));
+}
+BENCHMARK(BM_FrameStreamDecode);
+
+void BM_Fnv1a64(benchmark::State& state) {
+  // The frame checksum over a 64 KiB body (the per-layer metric
+  // rpc.fnv1a64_ns_per_kb is this time / 64).
+  sim::Rng rng(5);
+  serial::Bytes data(64 * 1024);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rpc::fnv1a64(data.data(), data.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_Fnv1a64);
 
 void BM_NetworkUnicastDelivery(benchmark::State& state) {
   for (auto _ : state) {

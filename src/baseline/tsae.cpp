@@ -35,7 +35,9 @@ serial::Bytes encode_summary(const SummaryVector& summary) {
 }
 
 SummaryVector decode_summary(serial::Reader& r) {
-  const std::uint64_t n = r.varint();
+  // A wire count: bounded by the bytes left (each entry is a varint of at
+  // least one byte) before it sizes an allocation.
+  const std::uint64_t n = r.length_prefix();
   SummaryVector summary;
   summary.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) summary.push_back(r.varint());

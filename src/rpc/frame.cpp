@@ -1,5 +1,9 @@
 #include "rpc/frame.hpp"
 
+#include <algorithm>
+
+#include "util/assert.hpp"
+
 namespace marp::rpc {
 
 const char* decode_status_name(DecodeStatus status) noexcept {
@@ -117,18 +121,85 @@ DecodeStatus verify_body(const FrameHeader& header, const std::uint8_t* body,
   return DecodeStatus::Ok;
 }
 
-DecodeStatus decode_frame(const serial::Bytes& buffer, Frame* out) {
+namespace {
+
+/// decode_frame over raw bytes. Whenever the header is sane, `*frame_size`
+/// is the frame's length on the wire, so a stream can step past it.
+DecodeStatus decode_first(const std::uint8_t* data, std::size_t size, Frame* out,
+                          std::size_t* frame_size) {
   FrameHeader header;
-  const DecodeStatus hs = decode_header(buffer.data(), buffer.size(), &header);
+  const DecodeStatus hs = decode_header(data, size, &header);
   if (hs != DecodeStatus::Ok) return hs;
-  const std::uint8_t* body = buffer.data() + kHeaderSize;
-  const std::size_t avail = buffer.size() - kHeaderSize;
-  const DecodeStatus bs = verify_body(header, body, avail);
+  *frame_size = kHeaderSize + header.body_len;
+  const std::uint8_t* body = data + kHeaderSize;
+  const DecodeStatus bs = verify_body(header, body, size - kHeaderSize);
   if (bs != DecodeStatus::Ok) return bs;
   out->header = header;
   out->body.assign(body, body + header.body_len);
   out->trace.reset();
+  out->recv_ts_us = -1;
   return extract_trace_context(out);
+}
+
+/// A stream buffer that grew past this for one big frame is released once
+/// drained, so a single large transfer does not pin its memory.
+constexpr std::size_t kKeepBufferBytes = 1u << 20;
+
+}  // namespace
+
+DecodeStatus decode_frame(const serial::Bytes& buffer, Frame* out) {
+  std::size_t frame_size = 0;
+  return decode_first(buffer.data(), buffer.size(), out, &frame_size);
+}
+
+std::uint8_t* FrameStream::prepare(std::size_t n) {
+  if (buffer_.size() - end_ < n) {
+    if (begin_ > 0) {  // slide the unread bytes to the front before growing
+      std::copy(buffer_.begin() + static_cast<std::ptrdiff_t>(begin_),
+                buffer_.begin() + static_cast<std::ptrdiff_t>(end_), buffer_.begin());
+      end_ -= begin_;
+      begin_ = 0;
+    }
+    if (buffer_.size() - end_ < n) buffer_.resize(end_ + n);
+  }
+  return buffer_.data() + end_;
+}
+
+void FrameStream::commit(std::size_t n) {
+  MARP_REQUIRE(n <= buffer_.size() - end_);
+  end_ += n;
+}
+
+void FrameStream::append(const std::uint8_t* data, std::size_t size) {
+  if (size == 0) return;
+  std::copy(data, data + size, prepare(size));
+  commit(size);
+}
+
+DecodeStatus FrameStream::next(Frame* out) {
+  if (failed_ != DecodeStatus::Ok) return failed_;
+  std::size_t frame_size = 0;
+  const DecodeStatus status =
+      decode_first(buffer_.data() + begin_, end_ - begin_, out, &frame_size);
+  switch (status) {
+    case DecodeStatus::Truncated:
+      return status;
+    case DecodeStatus::BadMagic:
+    case DecodeStatus::BadVersion:
+    case DecodeStatus::BadLength:
+      failed_ = status;
+      return status;
+    case DecodeStatus::Ok:
+    case DecodeStatus::ChecksumMismatch:
+    case DecodeStatus::BadTrace:
+      break;
+  }
+  begin_ += frame_size;
+  if (begin_ == end_) {
+    begin_ = end_ = 0;
+    if (buffer_.size() > kKeepBufferBytes) serial::Bytes().swap(buffer_);
+  }
+  return status;
 }
 
 serial::Bytes encode_app_body(const net::Message& message) {

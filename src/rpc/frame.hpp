@@ -162,6 +162,42 @@ DecodeStatus verify_body(const FrameHeader& header, const std::uint8_t* body,
 /// header decode + body slice + checksum verify in one call.
 DecodeStatus decode_frame(const serial::Bytes& buffer, Frame* out);
 
+/// Incremental decoder for a byte stream of frames: the one framing
+/// implementation behind the node's receive loop and the control client.
+/// Bytes go in through append(), or prepare()/commit() to recv straight into
+/// the buffer; next() cuts one frame at a time and reports what
+/// decode_frame reports for the same bytes:
+///
+///   Ok                  `out` holds the frame (trace tail stripped)
+///   Truncated           no whole frame buffered yet: feed more bytes
+///   ChecksumMismatch,   that frame is consumed and dropped; the stream
+///   BadTrace            stays aligned
+///   BadMagic, BadVersion, the stream is desynchronised: this and every
+///   BadLength           later call return the same status
+///
+/// A header's body_len is checked against kMaxBodyLen before any of the
+/// body is awaited, and the buffer only ever grows by bytes received.
+class FrameStream {
+ public:
+  /// Room for at least `n` more bytes. The pointer is valid until the next
+  /// call of any other member.
+  std::uint8_t* prepare(std::size_t n);
+  /// Mark `n` bytes written at prepare()'s pointer as received.
+  void commit(std::size_t n);
+  void append(const std::uint8_t* data, std::size_t size);
+
+  DecodeStatus next(Frame* out);
+
+  /// Bytes received but not yet cut into frames.
+  std::size_t buffered() const noexcept { return end_ - begin_; }
+
+ private:
+  serial::Bytes buffer_;  ///< [begin_, end_) is unread; the rest is room
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+  DecodeStatus failed_ = DecodeStatus::Ok;  ///< first header error, sticky
+};
+
 // ---- payload marshalling (built on serial::Writer/Reader) ----
 
 /// AppMessage body: [varint message-type][length-prefixed payload].

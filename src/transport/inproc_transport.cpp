@@ -4,15 +4,31 @@
 
 namespace marp::transport {
 
-void InProcTransport::start(Receiver receiver) {
+void InProcTransport::open() {
   std::lock_guard<std::mutex> lock(mutex_);
-  receiver_ = std::move(receiver);
   running_ = true;
 }
 
 void InProcTransport::stop() {
   std::lock_guard<std::mutex> lock(mutex_);
   running_ = false;
+  received_.clear();
+}
+
+void InProcTransport::poll(Deadline deadline, std::vector<Inbound>& out) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  arrived_.wait_until(lock, deadline, [this] { return woken_ || !received_.empty(); });
+  woken_ = false;
+  for (Inbound& inbound : received_) out.push_back(std::move(inbound));
+  received_.clear();
+}
+
+void InProcTransport::wake() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    woken_ = true;
+  }
+  arrived_.notify_one();
 }
 
 const rpc::TraceContext* InProcTransport::stamp(rpc::TraceContext* out,
@@ -88,7 +104,6 @@ void InProcTransport::note_sent(const serial::Bytes& encoded, rpc::FrameType typ
 void InProcTransport::receive_encoded(const serial::Bytes& encoded) {
   rpc::Frame frame;
   const rpc::DecodeStatus status = rpc::decode_frame(encoded, &frame);
-  Receiver receiver;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!running_) return;
@@ -111,9 +126,9 @@ void InProcTransport::receive_encoded(const serial::Bytes& encoded) {
     if (frame.type() == rpc::FrameType::AgentTransferAck) {
       ++stats_.agent_acks_received;
     }
-    receiver = receiver_;
+    received_.push_back({std::move(frame), ReplyFn{}});
   }
-  if (receiver) receiver(std::move(frame), ReplyFn{});
+  arrived_.notify_one();
 }
 
 InProcMesh::InProcMesh(std::size_t size, bool checksum)

@@ -3,13 +3,14 @@
 // An InProcMesh wires N NodeTransports together through direct calls: a send
 // encodes a real rpc frame, optionally flips loss/corruption chaos coins,
 // then the destination transport decodes and validates it exactly like a
-// frame read off a wire. Tests get the full encode → (damage) → decode →
-// reject/accept path — checksums, malformed-frame counting, loss-driven
-// retransmissions — with zero file descriptors and zero extra threads
-// (receivers run on the sender's thread; like socket readers, they must
-// only enqueue).
+// frame read off a wire and queues it for the destination's poll(). Tests
+// get the full encode → (damage) → decode → reject/accept path — checksums,
+// malformed-frame counting, loss-driven retransmissions — with zero file
+// descriptors and zero extra threads: a frame is applied on the thread that
+// polls the destination, exactly as with sockets.
 #pragma once
 
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -26,7 +27,9 @@ class InProcTransport final : public NodeTransport {
   InProcTransport(InProcMesh& mesh, net::NodeId local)
       : mesh_(mesh), local_(local) {}
 
-  void start(Receiver receiver) override;
+  void open() override;
+  void poll(Deadline deadline, std::vector<Inbound>& out) override;
+  void wake() override;
   void stop() override;
 
   bool send_message(const net::Message& message) override;
@@ -48,7 +51,7 @@ class InProcTransport final : public NodeTransport {
  private:
   friend class InProcMesh;
 
-  /// A frame "arrives off the wire": validate and hand to the receiver.
+  /// A frame "arrives off the wire": validate and queue it for poll().
   void receive_encoded(const serial::Bytes& encoded);
   void note_sent(const serial::Bytes& encoded, rpc::FrameType type);
   /// Fill `out` from the trace clock (if set) and return it, else nullptr.
@@ -57,12 +60,14 @@ class InProcTransport final : public NodeTransport {
 
   InProcMesh& mesh_;
   net::NodeId local_;
-  Receiver receiver_;
   std::uint64_t seq_ = 0;
   std::uint16_t incarnation_ = 0;
 
   mutable std::mutex mutex_;
+  std::condition_variable arrived_;  ///< a frame was queued or wake() called
   bool running_ = false;
+  bool woken_ = false;
+  std::vector<Inbound> received_;  ///< validated frames awaiting poll()
   TransportStats stats_;
   TraceClock trace_clock_;
 };

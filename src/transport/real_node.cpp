@@ -49,8 +49,8 @@ RealNode::RealNode(RealNodeConfig config)
       protocol_(network_, platform_, config_.marp) {
   MARP_REQUIRE(config_.node < config_.endpoints.size());
   // Virtual-time origin. Captured here (not at driver start) because the
-  // transport's trace clock reads it from reader threads as soon as frames
-  // flow; see driver_loop for the shared-epoch rationale.
+  // transport's trace clock reads it as soon as frames flow, also for sends
+  // made from other threads; see driver_loop for the shared-epoch rationale.
   t0_ = std::chrono::steady_clock::now();
   if (config_.clock_epoch_us > 0) {
     const auto epoch = std::chrono::steady_clock::time_point(
@@ -155,12 +155,7 @@ RealNode::~RealNode() {
 }
 
 void RealNode::run() {
-  transport_->start([this](rpc::Frame&& frame, NodeTransport::ReplyFn reply) {
-    std::lock_guard<std::mutex> lock(inbox_mutex_);
-    if (stop_requested_) return;
-    inbox_.push_back({std::move(frame), std::move(reply)});
-    inbox_cv_.notify_one();
-  });
+  transport_->open();
   driver_loop();
   if (durable_) {
     // Parting checkpoint: a clean shutdown leaves a snapshot + empty
@@ -194,9 +189,8 @@ void RealNode::join() {
 }
 
 void RealNode::request_stop() {
-  std::lock_guard<std::mutex> lock(inbox_mutex_);
-  stop_requested_ = true;
-  inbox_cv_.notify_one();
+  stop_requested_.store(true);
+  transport_->wake();
 }
 
 void RealNode::submit_session(std::uint64_t i) {
@@ -300,31 +294,25 @@ void RealNode::driver_loop() {
     }
   }
 
-  std::unique_lock<std::mutex> lock(inbox_mutex_);
-  while (!stop_requested_) {
-    std::deque<Incoming> batch;
-    batch.swap(inbox_);
-    lock.unlock();
+  std::vector<NodeTransport::Inbound> batch;
+  while (!stop_requested_.load()) {
+    // Sleep in the transport until the next timer is due or frames arrive.
+    // Only this thread mutates the event queue, so peeking at it without
+    // state_mutex_ is safe here.
+    const auto wake = sim_.idle() ? Clock::now() + std::chrono::milliseconds(100)
+                                  : t0_ + std::chrono::microseconds(
+                                              sim_.next_event_time().as_micros());
+    transport_->poll(wake, batch);
     {
       std::lock_guard<std::mutex> state(state_mutex_);
       // Catch the virtual clock up first so injected deliveries (and the
       // timers their handlers arm) are stamped with the current wall time,
       // then run whatever they made due.
       sim_.run(virt());
-      for (Incoming& incoming : batch) apply(std::move(incoming));
+      for (const NodeTransport::Inbound& inbound : batch) apply(inbound);
       sim_.run(virt());
     }
-    lock.lock();
-    if (stop_requested_ || !inbox_.empty()) continue;
-    // Only the driver thread mutates the event queue, so peeking at it
-    // without state_mutex_ is safe here.
-    if (sim_.idle()) {
-      inbox_cv_.wait_for(lock, std::chrono::milliseconds(100));
-    } else {
-      const auto wake =
-          t0_ + std::chrono::microseconds(sim_.next_event_time().as_micros());
-      inbox_cv_.wait_until(lock, wake);
-    }
+    batch.clear();
   }
 }
 
@@ -344,26 +332,25 @@ bool RealNode::admit_incarnation(const rpc::FrameHeader& header) {
   return true;
 }
 
-void RealNode::apply(Incoming incoming) {
-  if (tracer_ && incoming.frame.trace.has_value() &&
-      incoming.frame.recv_ts_us >= 0 &&
-      incoming.frame.header.src < config_.endpoints.size()) {
+void RealNode::apply(const NodeTransport::Inbound& inbound) {
+  const rpc::Frame& frame = inbound.frame;
+  if (tracer_ && frame.trace.has_value() && frame.recv_ts_us >= 0 &&
+      frame.header.src < config_.endpoints.size()) {
     // One (send, recv) timestamp pair per traced inbound frame. recv_ts was
-    // stamped on the transport reader thread — before inbox queueing — so
-    // the pair measures the wire, not this node's scheduling backlog.
+    // stamped as poll() cut the frame off its connection, before any
+    // protocol work, so the pair measures the wire, not this node's backlog.
     if (link_samples_.size() < kMaxNodeLinkSamples) {
-      link_samples_.push_back({incoming.frame.header.src,
-                               incoming.frame.trace->send_ts_us,
-                               incoming.frame.recv_ts_us});
+      link_samples_.push_back(
+          {frame.header.src, frame.trace->send_ts_us, frame.recv_ts_us});
     } else {
       ++link_samples_dropped_;
     }
   }
-  switch (incoming.frame.type()) {
+  switch (frame.type()) {
     case rpc::FrameType::Announce: {
       try {
         const rpc::AnnounceBody announce =
-            rpc::decode_announce_body(incoming.frame.body);
+            rpc::decode_announce_body(frame.body);
         if (announce.node < peer_incarnation_.size()) {
           peer_incarnation_[announce.node] =
               std::max(peer_incarnation_[announce.node], announce.incarnation);
@@ -378,10 +365,10 @@ void RealNode::apply(Incoming incoming) {
       return;
     }
     case rpc::FrameType::AppMessage: {
-      if (!admit_incarnation(incoming.frame.header)) return;
+      if (!admit_incarnation(frame.header)) return;
       try {
         net::Message message =
-            rpc::decode_app_body(incoming.frame.header, incoming.frame.body);
+            rpc::decode_app_body(frame.header, frame.body);
         if (message.dst != config_.node || message.src >= network_.size()) {
           MARP_LOG_WARN("realnode") << "node " << config_.node
                                     << ": misrouted frame dropped";
@@ -395,12 +382,12 @@ void RealNode::apply(Incoming incoming) {
       return;
     }
     case rpc::FrameType::AgentTransfer: {
-      if (!admit_incarnation(incoming.frame.header)) return;
+      if (!admit_incarnation(frame.header)) return;
       try {
-        const auto transfer = platform_.receive_remote_transfer(incoming.frame.body);
+        const auto transfer = platform_.receive_remote_transfer(frame.body);
         // Ack even a deduped duplicate — the agent is live here either way,
         // and the sender must cancel its revival timer.
-        transport_->send_agent_ack(incoming.frame.header.src, transfer.token);
+        transport_->send_agent_ack(frame.header.src, transfer.token);
       } catch (const serial::DecodeError& e) {
         // The frame passed the checksum but the body would not rehydrate —
         // drop it WITHOUT acking, so the sender's always-armed migration
@@ -411,10 +398,10 @@ void RealNode::apply(Incoming incoming) {
       return;
     }
     case rpc::FrameType::AgentTransferAck: {
-      if (!admit_incarnation(incoming.frame.header)) return;
+      if (!admit_incarnation(frame.header)) return;
       try {
         platform_.acknowledge_remote_transfer(
-            rpc::decode_transfer_ack_body(incoming.frame.body));
+            rpc::decode_transfer_ack_body(frame.body));
       } catch (const serial::DecodeError& e) {
         MARP_LOG_WARN("realnode")
             << "node " << config_.node << ": malformed transfer ack: " << e.what();
@@ -422,7 +409,7 @@ void RealNode::apply(Incoming incoming) {
       return;
     }
     case rpc::FrameType::ControlRequest:
-      handle_control(incoming.frame, incoming.reply);
+      handle_control(frame, inbound.reply);
       return;
     case rpc::FrameType::ControlReply:
       return;  // nodes never originate control calls

@@ -4,18 +4,20 @@
 // instantiates the *entire* protocol stack — Simulator, Network(N),
 // AgentPlatform, MarpProtocol with all N servers — but attaches a transport,
 // so only the local node's server ever sees traffic; the other N−1 are inert
-// shadows. A single driver thread owns every protocol object:
+// shadows. One driver thread owns every protocol object and is the node's
+// only thread — it also reads the node's sockets:
 //
-//   socket threads                driver thread
-//   --------------                ----------------------------------------
-//   frame arrives ──enqueue──►    drain inbox:
-//                                   AppMessage   → Network::inject()
-//                                   AgentTransfer→ receive_remote_transfer(),
-//                                                  then ack back to sender
-//                                   AgentTransferAck → cancel revival timer
-//                                   ControlRequest → serve RPC, reply
-//                                 sim.run(virtual_now)   // due timers fire
-//                                 sleep until next timer or inbox signal
+//   driver thread
+//   --------------------------------------------------------------------
+//   transport.poll(next timer)   // waits on the sockets, returns frames
+//   sim.run(virtual_now)         // due timers fire
+//   apply each frame:
+//     AppMessage       → Network::inject()
+//     AgentTransfer    → receive_remote_transfer(), then ack back to sender
+//     AgentTransferAck → cancel revival timer
+//     Announce         → raise the peer's incarnation floor
+//     ControlRequest   → serve RPC, reply on the same connection
+//   sim.run(virtual_now)
 //
 // Virtual time is wall time: `sim.run(elapsed-µs)` advances the
 // discrete-event clock in step with the wall clock, so every protocol timer
@@ -30,9 +32,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -152,7 +152,8 @@ class RealNode {
   void start();
   /// … and wait for it to finish.
   void join();
-  /// Ask the run loop to exit (thread-safe; also triggered by Shutdown RPC).
+  /// Ask the run loop to exit: sets the flag and wakes the transport's
+  /// poll (thread-safe; also triggered by Shutdown RPC).
   void request_stop();
 
   net::NodeId node() const noexcept { return config_.node; }
@@ -168,13 +169,8 @@ class RealNode {
   trace::CounterRegistry counters();
 
  private:
-  struct Incoming {
-    rpc::Frame frame;
-    NodeTransport::ReplyFn reply;
-  };
-
   void driver_loop();
-  void apply(Incoming incoming);
+  void apply(const NodeTransport::Inbound& inbound);
   /// Incarnation fence: true = frame accepted, floors updated; false =
   /// stale frame from a previous life of `src`, drop it.
   bool admit_incarnation(const rpc::FrameHeader& header);
@@ -202,8 +198,8 @@ class RealNode {
   std::unique_ptr<trace::Tracer> tracer_;
   /// Virtual-time origin on the steady_clock axis: min(construction time,
   /// supervisor epoch). A member (not a driver_loop local) because the
-  /// transport's trace clock needs it from reader threads before and after
-  /// the driver runs.
+  /// transport's trace clock needs it for sends made from other threads,
+  /// before and after the driver runs.
   std::chrono::steady_clock::time_point t0_;
 
   /// Durable state (nullptr when config.data_dir is empty).
@@ -229,10 +225,7 @@ class RealNode {
   std::vector<rpc::NodeTrace::LinkSample> link_samples_;
   std::uint64_t link_samples_dropped_ = 0;
 
-  std::mutex inbox_mutex_;
-  std::condition_variable inbox_cv_;
-  std::deque<Incoming> inbox_;
-  bool stop_requested_ = false;
+  std::atomic<bool> stop_requested_{false};
 
   /// Guards protocol state for the status()/dump() snapshot path; the
   /// driver thread holds it while running events.

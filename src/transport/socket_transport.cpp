@@ -3,14 +3,13 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <csignal>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -28,6 +27,19 @@ namespace {
 constexpr std::size_t kMaxLinkSamples = 8192;
 /// Outstanding transfer-token cap for RTT matching.
 constexpr std::size_t kMaxPendingRtt = 1024;
+/// Bytes one recv may take off a connection.
+constexpr std::size_t kReadChunk = 64 * 1024;
+/// A blocked send re-checks running_ at least this often.
+constexpr std::chrono::milliseconds kBlockedSendTick{100};
+
+using Clock = std::chrono::steady_clock;
+
+timespec timespec_of(Clock::duration d) {
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      std::max(d, Clock::duration::zero()));
+  return {static_cast<time_t>(ns.count() / 1'000'000'000),
+          static_cast<long>(ns.count() % 1'000'000'000)};
+}
 
 void export_quantiles(trace::CounterRegistry& registry, const std::string& prefix,
                       std::vector<std::int64_t> samples) {
@@ -46,8 +58,9 @@ void export_quantiles(trace::CounterRegistry& registry, const std::string& prefi
                static_cast<std::uint64_t>(std::max<std::int64_t>(0, samples.back())));
 }
 
-// Raw socket helpers. All sockets are blocking; reader tasks park in
-// recv() and are unblocked by shutdown(fd) at stop time.
+// Raw socket helpers. The listener and accepted connections are
+// non-blocking; outbound connections are blocking, and senders pass
+// MSG_DONTWAIT so a full socket surfaces as EAGAIN.
 
 int open_listener(const Endpoint& endpoint) {
   if (endpoint.kind == Endpoint::Kind::Uds) {
@@ -55,7 +68,7 @@ int open_listener(const Endpoint& endpoint) {
     addr.sun_family = AF_UNIX;
     if (endpoint.path.size() >= sizeof(addr.sun_path)) return -1;
     std::strncpy(addr.sun_path, endpoint.path.c_str(), sizeof(addr.sun_path) - 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
     if (fd < 0) return -1;
     ::unlink(endpoint.path.c_str());  // stale socket from a previous run
     if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
@@ -69,7 +82,7 @@ int open_listener(const Endpoint& endpoint) {
   addr.sin_family = AF_INET;
   addr.sin_port = htons(endpoint.port);
   if (::inet_pton(AF_INET, endpoint.host.c_str(), &addr.sin_addr) != 1) return -1;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) return -1;
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -110,7 +123,8 @@ int connect_once(const Endpoint& endpoint) {
   return fd;
 }
 
-/// Write the whole buffer; EPIPE instead of SIGPIPE.
+/// Client side: write the whole buffer to a blocking socket; EPIPE instead
+/// of SIGPIPE.
 bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
   std::size_t done = 0;
   while (done < size) {
@@ -124,99 +138,212 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
-/// Read exactly `size` bytes; false on EOF/error.
-bool read_all(int fd, std::uint8_t* data, std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::recv(fd, data + done, size - done, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
+/// Client side: block until one whole frame arrives on `fd`, the peer
+/// hangs up or `deadline` passes.
+SocketTransport::RpcStatus read_reply(int fd, rpc::Frame* reply,
+                                      Clock::time_point deadline) {
+  rpc::FrameStream stream;
+  for (;;) {
+    const rpc::DecodeStatus status = stream.next(reply);
+    if (status == rpc::DecodeStatus::Ok) return SocketTransport::RpcStatus::Ok;
+    if (status != rpc::DecodeStatus::Truncated) {
+      return SocketTransport::RpcStatus::BadReply;
     }
-    if (n == 0) return false;
-    done += static_cast<std::size_t>(n);
+    pollfd pfd{fd, POLLIN, 0};
+    const timespec wait = timespec_of(deadline - Clock::now());
+    const int ready = ::ppoll(&pfd, 1, &wait, nullptr);
+    if (ready == 0) return SocketTransport::RpcStatus::Timeout;
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      return SocketTransport::RpcStatus::BadReply;
+    }
+    const ssize_t n = ::recv(fd, stream.prepare(kReadChunk), kReadChunk, 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return SocketTransport::RpcStatus::BadReply;  // EOF or error
+    stream.commit(static_cast<std::size_t>(n));
   }
-  return true;
-}
-
-/// Read one whole frame off `fd`. Returns Ok and fills `out`, or the decode
-/// status that killed it (Truncated doubles as EOF/IO error).
-rpc::DecodeStatus read_frame(int fd, rpc::Frame* out) {
-  std::uint8_t header_bytes[rpc::kHeaderSize];
-  if (!read_all(fd, header_bytes, rpc::kHeaderSize)) {
-    return rpc::DecodeStatus::Truncated;
-  }
-  rpc::FrameHeader header;
-  const rpc::DecodeStatus hs =
-      rpc::decode_header(header_bytes, rpc::kHeaderSize, &header);
-  if (hs != rpc::DecodeStatus::Ok) return hs;
-  serial::Bytes body(header.body_len);
-  if (header.body_len > 0 && !read_all(fd, body.data(), body.size())) {
-    return rpc::DecodeStatus::Truncated;
-  }
-  const rpc::DecodeStatus bs = rpc::verify_body(header, body.data(), body.size());
-  if (bs != rpc::DecodeStatus::Ok) return bs;
-  out->header = header;
-  out->body = std::move(body);
-  return rpc::DecodeStatus::Ok;
 }
 
 }  // namespace
 
 SocketTransport::SocketTransport(SocketTransportConfig config)
     : config_(std::move(config)),
+      wake_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)),
       loss_rng_(config_.loss_seed),
       backoff_rng_(config_.connect_jitter_seed ^
                    (0x9E3779B97F4A7C15ULL * (config_.local + 1))) {
   MARP_REQUIRE(config_.local < config_.peers.size());
+  MARP_ENSURE_MSG(wake_fd_ >= 0, "cannot create the transport's wake eventfd");
 }
 
-SocketTransport::~SocketTransport() { stop(); }
+SocketTransport::~SocketTransport() {
+  stop();
+  ::close(wake_fd_);
+}
 
-void SocketTransport::start(Receiver receiver) {
-  MARP_REQUIRE_MSG(!running_.load(), "transport already started");
-  receiver_ = std::move(receiver);
-  listen_fd_.store(open_listener(config_.peers[config_.local]));
-  MARP_ENSURE_MSG(listen_fd_.load() >= 0,
+void SocketTransport::open() {
+  MARP_REQUIRE_MSG(!running_.load(), "transport already open");
+  const int fd = open_listener(config_.peers[config_.local]);
+  MARP_ENSURE_MSG(fd >= 0,
                   "cannot listen on " + config_.peers[config_.local].to_string());
-  const std::size_t threads = config_.reader_threads != 0
-                                  ? config_.reader_threads
-                                  : config_.peers.size() + 8;
-  pool_ = std::make_unique<ThreadPool>(threads);
+  {
+    std::lock_guard<std::mutex> lock(inbound_mutex_);
+    listen_fd_ = fd;
+  }
   running_.store(true);
-  accept_done_ = pool_->submit([this] { accept_loop(); });
 }
 
 void SocketTransport::stop() {
   if (!running_.exchange(false)) return;
-  // Wake accept() and every parked reader, but only shutdown() descriptors
-  // another task is still reading: the reader closes its own conn when its
-  // loop exits, so an fd number can never be recycled under a concurrent
-  // recv(). Outbound conns have no reader and are closed here.
-  const int listen_fd = listen_fd_.load();
-  if (listen_fd >= 0) ::shutdown(listen_fd, SHUT_RDWR);
-  // The accept task may be registering a connection it has just accepted
-  // and submitting its reader: let it finish before sweeping the inbound
-  // connections and tearing the pool down.
-  if (accept_done_.valid()) accept_done_.wait();
-  {
-    std::lock_guard<std::mutex> lock(inbound_mutex_);
-    for (const ConnPtr& conn : inbound_conns_) shutdown_conn(conn);
-  }
   {
     std::lock_guard<std::mutex> lock(peers_mutex_);
     for (auto& [node, conn] : peer_conns_) close_conn(conn);
     peer_conns_.clear();
   }
-  pool_.reset();  // joins accept/reader tasks (readers close their conns)
-  const int fd = listen_fd_.exchange(-1);
-  if (fd >= 0) ::close(fd);
   {
     std::lock_guard<std::mutex> lock(inbound_mutex_);
-    inbound_conns_.clear();
+    for (const InConnPtr& conn : inbound_) {
+      ::close(conn->fd);
+      conn->fd = -1;
+    }
+    inbound_.clear();
+    ::close(listen_fd_);
+    listen_fd_ = -1;
   }
   if (config_.peers[config_.local].kind == Endpoint::Kind::Uds) {
     ::unlink(config_.peers[config_.local].path.c_str());
+  }
+}
+
+void SocketTransport::wake() {
+  const std::uint64_t one = 1;
+  // A full counter (EAGAIN) already means a wake is pending.
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
+}
+
+void SocketTransport::poll(Deadline deadline, std::vector<Inbound>& out) {
+  {
+    // Whatever a send blocked on a full socket drained into the buffers
+    // meanwhile, it announced through wake(), so the ppoll below returns at
+    // once and the collect after it hands those frames out.
+    std::lock_guard<std::mutex> lock(inbound_mutex_);
+    poll_fds_.clear();
+    poll_conns_.clear();
+    poll_fds_.push_back({wake_fd_, POLLIN, 0});
+    poll_fds_.push_back({listen_fd_, POLLIN, 0});
+    for (const InConnPtr& conn : inbound_) {
+      poll_fds_.push_back({conn->fd, POLLIN, 0});
+      poll_conns_.push_back(conn);
+    }
+  }
+  // Nanosecond deadline: virtual time is wall time, and poll()'s
+  // millisecond timeout would round every short protocol timer up.
+  const timespec wait = timespec_of(deadline - Clock::now());
+  if (::ppoll(poll_fds_.data(), poll_fds_.size(), &wait, nullptr) <= 0) return;
+  if (poll_fds_[0].revents != 0) {
+    std::uint64_t count = 0;
+    [[maybe_unused]] const ssize_t n = ::read(wake_fd_, &count, sizeof count);
+  }
+  std::lock_guard<std::mutex> lock(inbound_mutex_);
+  if (poll_fds_[1].revents != 0) accept_locked();
+  for (std::size_t i = 0; i < poll_conns_.size(); ++i) {
+    if (poll_fds_[i + 2].revents != 0) fill_locked(*poll_conns_[i]);
+  }
+  collect_locked(out);
+}
+
+bool SocketTransport::accept_locked() {
+  bool accepted = false;
+  while (listen_fd_ >= 0) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      break;  // EAGAIN: the backlog is empty
+    }
+    auto conn = std::make_shared<InConn>();
+    conn->fd = fd;
+    inbound_.push_back(std::move(conn));
+    accepted = true;
+    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+    ++stats_.accepts;
+  }
+  return accepted;
+}
+
+void SocketTransport::fill_locked(InConn& conn) {
+  if (conn.fd < 0 || conn.eof) return;
+  ssize_t n;
+  do {
+    n = ::recv(conn.fd, conn.stream.prepare(kReadChunk), kReadChunk, 0);
+  } while (n < 0 && errno == EINTR);
+  if (n > 0) {
+    conn.stream.commit(static_cast<std::size_t>(n));
+  } else if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+    conn.eof = true;
+  }
+}
+
+void SocketTransport::collect_locked(std::vector<Inbound>& out) {
+  TransportStats got;
+  const auto keep_open = [&](const InConnPtr& conn) {
+    for (;;) {
+      rpc::Frame frame;
+      const rpc::DecodeStatus status = conn->stream.next(&frame);
+      if (status == rpc::DecodeStatus::Truncated) return !conn->eof;
+      if (status == rpc::DecodeStatus::ChecksumMismatch) {
+        // Corrupt body, aligned stream: drop the frame, keep the connection.
+        ++got.checksum_rejected;
+        continue;
+      }
+      if (status == rpc::DecodeStatus::BadTrace) {
+        // kFlagTrace with a too-short body: the whole body was consumed, so
+        // the stream stays aligned — drop just this frame.
+        ++got.malformed_rejected;
+        continue;
+      }
+      if (status != rpc::DecodeStatus::Ok) {
+        // Bad magic/version/length — the byte stream is garbage from here on.
+        MARP_LOG_WARN("transport")
+            << "node " << config_.local << ": closing connection on "
+            << rpc::decode_status_name(status) << " frame";
+        ++got.malformed_rejected;
+        return false;
+      }
+      note_received(frame);
+      ++got.frames_received;
+      got.bytes_received += rpc::kHeaderSize + frame.body.size();
+      if (frame.type() == rpc::FrameType::AgentTransfer) ++got.agent_frames_received;
+      if (frame.type() == rpc::FrameType::AgentTransferAck) ++got.agent_acks_received;
+      ReplyFn reply;
+      if (frame.type() == rpc::FrameType::ControlRequest) {
+        reply = [this, conn](const serial::Bytes& encoded) {
+          int fd;
+          {
+            std::lock_guard<std::mutex> lock(inbound_mutex_);
+            fd = conn->fd;
+          }
+          return fd >= 0 && write_bytes(fd, encoded.data(), encoded.size());
+        };
+      }
+      out.push_back({std::move(frame), std::move(reply)});
+    }
+  };
+  const auto closed = [&](const InConnPtr& conn) {
+    if (keep_open(conn)) return false;
+    ::close(conn->fd);
+    conn->fd = -1;
+    return true;
+  };
+  inbound_.erase(std::remove_if(inbound_.begin(), inbound_.end(), closed),
+                 inbound_.end());
+  if (got.frames_received + got.checksum_rejected + got.malformed_rejected > 0) {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    stats_.frames_received += got.frames_received;
+    stats_.bytes_received += got.bytes_received;
+    stats_.agent_frames_received += got.agent_frames_received;
+    stats_.agent_acks_received += got.agent_acks_received;
+    stats_.checksum_rejected += got.checksum_rejected;
+    stats_.malformed_rejected += got.malformed_rejected;
   }
 }
 
@@ -229,9 +356,54 @@ void SocketTransport::close_conn(const ConnPtr& conn) {
   }
 }
 
-void SocketTransport::shutdown_conn(const ConnPtr& conn) {
-  const int fd = conn->fd.load();
-  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+bool SocketTransport::write_bytes(int fd, const std::uint8_t* data, std::size_t size) {
+  std::size_t done = 0;
+  while (done < size) {
+    const ssize_t n =
+        ::send(fd, data + done, size - done, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n >= 0) {
+      done += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return false;
+    if (!drain_until_writable(fd)) return false;
+  }
+  return true;
+}
+
+bool SocketTransport::drain_until_writable(int fd) {
+  // The peer may itself be blocked writing to this node. With one thread per
+  // node, neither would read again unless this wait keeps reading — so
+  // accept and buffer everything inbound until `fd` has room.
+  std::vector<pollfd> fds{{fd, POLLOUT, 0}};
+  std::vector<InConnPtr> conns;
+  {
+    std::lock_guard<std::mutex> lock(inbound_mutex_);
+    fds.push_back({listen_fd_, POLLIN, 0});
+    for (const InConnPtr& conn : inbound_) {
+      if (conn->eof) continue;
+      fds.push_back({conn->fd, POLLIN, 0});
+      conns.push_back(conn);
+    }
+  }
+  const timespec tick = timespec_of(kBlockedSendTick);
+  const int ready = ::ppoll(fds.data(), fds.size(), &tick, nullptr);
+  if (!running_.load()) return false;
+  if (ready <= 0) return ready == 0 || errno == EINTR;
+  bool drained = false;
+  {
+    std::lock_guard<std::mutex> lock(inbound_mutex_);
+    if (fds[1].revents != 0) drained = accept_locked();
+    for (std::size_t i = 0; i < conns.size(); ++i) {
+      // Skip a connection poll() closed meanwhile.
+      if (fds[i + 2].revents == 0 || conns[i]->fd != fds[i + 2].fd) continue;
+      fill_locked(*conns[i]);
+      drained = true;
+    }
+  }
+  if (drained) wake();
+  return true;
 }
 
 SocketTransport::ConnPtr SocketTransport::peer_conn(net::NodeId dst) {
@@ -332,7 +504,7 @@ bool SocketTransport::send_frame(net::NodeId dst, rpc::FrameType type,
   {
     std::lock_guard<std::mutex> lock(conn->write_mutex);
     const int fd = conn->fd.load();
-    ok = fd >= 0 && write_all(fd, encoded.data(), encoded.size());
+    ok = fd >= 0 && write_bytes(fd, encoded.data(), encoded.size());
   }
   if (!ok) {
     // Peer vanished mid-stream: drop the connection so the next send
@@ -453,91 +625,6 @@ void SocketTransport::export_counters(trace::CounterRegistry& registry) const {
   }
 }
 
-void SocketTransport::accept_loop() {
-  while (running_.load()) {
-    const int listen_fd = listen_fd_.load();
-    if (listen_fd < 0) return;
-    // Poll with a bounded timeout rather than parking in accept(): stop()
-    // only shutdown()s the listener (the close comes after this task has
-    // joined), and a shutdown listener is not guaranteed to wake accept()
-    // on every platform — the poll timeout bounds the wait either way.
-    pollfd pfd{listen_fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 100);
-    if (!running_.load()) return;
-    if (ready <= 0) continue;  // timeout or EINTR — re-check running_
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      return;  // listener shut down (stop) or fatal
-    }
-    auto conn = std::make_shared<Conn>();
-    conn->fd.store(fd);
-    {
-      std::lock_guard<std::mutex> lock(inbound_mutex_);
-      inbound_conns_.push_back(conn);
-    }
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.accepts;
-    }
-    pool_->submit([this, conn] { reader_loop(conn); });
-  }
-}
-
-void SocketTransport::reader_loop(ConnPtr conn) {
-  // This task owns the descriptor's lifetime: conn->fd stays valid (stop()
-  // only shutdown()s it) until the close_conn at the bottom.
-  const int fd = conn->fd.load();
-  while (fd >= 0 && running_.load()) {
-    rpc::Frame frame;
-    const rpc::DecodeStatus status = read_frame(fd, &frame);
-    if (status == rpc::DecodeStatus::Truncated) {
-      break;  // EOF / peer closed — normal end of a connection
-    }
-    if (status == rpc::DecodeStatus::ChecksumMismatch) {
-      // Corrupt body, aligned stream: drop the frame, keep the connection.
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.checksum_rejected;
-      continue;
-    }
-    if (status != rpc::DecodeStatus::Ok) {
-      // Bad magic/version/length — the byte stream is garbage from here on.
-      MARP_LOG_WARN("transport")
-          << "node " << config_.local << ": closing connection on "
-          << rpc::decode_status_name(status) << " frame";
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.malformed_rejected;
-      break;
-    }
-    if (rpc::extract_trace_context(&frame) != rpc::DecodeStatus::Ok) {
-      // kFlagTrace with a too-short body: the whole body was read, so the
-      // stream stays aligned — drop just this frame.
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.malformed_rejected;
-      continue;
-    }
-    note_received(frame);
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.frames_received;
-      stats_.bytes_received += rpc::kHeaderSize + frame.body.size();
-      if (frame.type() == rpc::FrameType::AgentTransfer) {
-        ++stats_.agent_frames_received;
-      }
-      if (frame.type() == rpc::FrameType::AgentTransferAck) {
-        ++stats_.agent_acks_received;
-      }
-    }
-    ReplyFn reply = [conn](const serial::Bytes& encoded) {
-      std::lock_guard<std::mutex> lock(conn->write_mutex);
-      const int reply_fd = conn->fd.load();
-      return reply_fd >= 0 && write_all(reply_fd, encoded.data(), encoded.size());
-    };
-    receiver_(std::move(frame), std::move(reply));
-  }
-  close_conn(conn);
-}
-
 const char* SocketTransport::rpc_status_name(RpcStatus status) noexcept {
   switch (status) {
     case RpcStatus::Ok: return "ok";
@@ -558,18 +645,7 @@ SocketTransport::RpcStatus SocketTransport::rpc_call_ex(
   if (!write_all(fd, request.data(), request.size())) {
     status = RpcStatus::SendFailed;
   } else if (reply != nullptr) {
-    const timeval tv{
-        static_cast<time_t>(timeout.count() / 1000),
-        static_cast<suseconds_t>((timeout.count() % 1000) * 1000)};
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    errno = 0;
-    if (read_frame(fd, reply) != rpc::DecodeStatus::Ok ||
-        rpc::extract_trace_context(reply) != rpc::DecodeStatus::Ok) {
-      // SO_RCVTIMEO surfaces as EAGAIN/EWOULDBLOCK out of recv(); anything
-      // else (EOF, garbage frame) means the peer answered wrongly or died.
-      status = (errno == EAGAIN || errno == EWOULDBLOCK) ? RpcStatus::Timeout
-                                                         : RpcStatus::BadReply;
-    }
+    status = read_reply(fd, reply, Clock::now() + timeout);
   }
   ::close(fd);
   return status;

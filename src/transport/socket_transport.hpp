@@ -3,21 +3,29 @@
 //
 // One instance per process/node. It listens on its own endpoint, lazily
 // connects to peers (with retries, so a cluster can start in any order), and
-// moves rpc frames both ways:
+// moves rpc frames both ways. It starts no thread: the node's driver thread
+// is the only one that reads its sockets.
 //
-//   send side (driver thread)    recv side (pool threads)
-//   ------------------------     -------------------------------
-//   send_message  → AppMessage   accept_loop: one task on the pool
-//   send_agent_frame             reader_loop: one task per connection,
-//     → AgentTransfer              blocking reads; parses header → body,
-//   control client frames          verifies checksum, hands the frame to
-//     → ControlRequest             the Receiver (which must only enqueue)
+//   send side (any thread)       receive side (the thread calling poll)
+//   ----------------------       ------------------------------------------
+//   send_message  → AppMessage   ppoll on the listener, every inbound
+//   send_agent_frame               connection and a wake eventfd, until the
+//     → AgentTransfer              caller's deadline; accept new peers; one
+//   send_agent_ack                 recv per readable connection into its
+//     → AgentTransferAck           rpc::FrameStream; cut out whole frames
+//   send_announce → Announce       and return them to the caller
 //
-// All reader/acceptor work runs on a util::ThreadPool sized to the cluster;
-// the transport never touches protocol state itself. Frames that fail
-// header validation desynchronise the byte stream, so the connection is
-// closed (counted in malformed_rejected); a checksum mismatch leaves the
-// stream aligned, so only the frame is dropped (checksum_rejected).
+// Inbound sockets are non-blocking, so a peer that stalls mid-frame delays
+// no other connection. Frames that fail header validation desynchronise the
+// byte stream, so the connection is closed (counted in malformed_rejected);
+// a checksum mismatch leaves the stream aligned, so only the frame is
+// dropped (checksum_rejected).
+//
+// With one thread per node, two nodes that both block writing to each other
+// would never read again. A send that would block therefore waits for room
+// while it keeps draining this node's inbound connections into their
+// buffers (waking the poller when it read something); a send still returns
+// true only once the kernel has taken every byte.
 //
 // Chaos knob: `send_loss` eats outbound AppMessage frames with a seeded coin
 // — never AgentTransfer/AgentTransferAck or control frames — so injected
@@ -27,9 +35,10 @@
 // revives the agent after its migration timeout if no ack arrives.
 #pragma once
 
+#include <poll.h>
+
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -39,7 +48,6 @@
 
 #include "transport/endpoint.hpp"
 #include "transport/transport.hpp"
-#include "util/thread_pool.hpp"
 
 namespace marp::transport {
 
@@ -65,8 +73,6 @@ struct SocketTransportConfig {
   std::chrono::milliseconds connect_backoff{20};
   std::chrono::milliseconds connect_backoff_cap{500};
   std::uint64_t connect_jitter_seed = 1;
-  /// 0 → peers + 8 (accept loop + inbound readers + control connections).
-  std::size_t reader_threads = 0;
 };
 
 class SocketTransport final : public NodeTransport {
@@ -74,7 +80,9 @@ class SocketTransport final : public NodeTransport {
   explicit SocketTransport(SocketTransportConfig config);
   ~SocketTransport() override;
 
-  void start(Receiver receiver) override;
+  void open() override;
+  void poll(Deadline deadline, std::vector<Inbound>& out) override;
+  void wake() override;
   void stop() override;
 
   bool send_message(const net::Message& message) override;
@@ -128,18 +136,40 @@ class SocketTransport final : public NodeTransport {
                        std::chrono::milliseconds timeout = std::chrono::seconds(10));
 
  private:
+  /// Outbound connection to a peer; written by any sending thread.
   struct Conn {
-    /// -1 once closed. Atomic: readers/writers/stop() race on the value;
-    /// the actual close() is done by whichever side owns the descriptor
-    /// (the reader task for inbound conns, close_conn for outbound ones).
+    /// -1 once closed. Atomic: senders and stop() race on the value; the
+    /// close itself happens under write_mutex (close_conn).
     std::atomic<int> fd{-1};
     std::mutex write_mutex;
   };
   using ConnPtr = std::shared_ptr<Conn>;
 
+  /// Accepted connection. Its fields are guarded by inbound_mutex_; only
+  /// poll() and stop() close one.
+  struct InConn {
+    int fd = -1;
+    rpc::FrameStream stream;
+    bool eof = false;  ///< peer closed or a read failed; poll() closes it
+  };
+  using InConnPtr = std::shared_ptr<InConn>;
+
   bool send_frame(net::NodeId dst, rpc::FrameType type, const serial::Bytes& body,
                   std::uint64_t trace_session = 0);
-  /// Reader-thread bookkeeping for traced frames: recv stamp, RTT matching.
+  /// Write all of `size` bytes to `fd`; on a full socket, wait in
+  /// drain_until_writable. False when the connection failed.
+  bool write_bytes(int fd, const std::uint8_t* data, std::size_t size);
+  /// Wait (bounded) for `fd` to take more bytes while draining the inbound
+  /// connections; false once the transport has stopped.
+  bool drain_until_writable(int fd);
+  /// Accept every pending connection; true if there was one.
+  bool accept_locked();
+  /// One recv into the connection's stream.
+  void fill_locked(InConn& conn);
+  /// Cut every whole frame out of every inbound stream into `out`, closing
+  /// connections that ended or went bad.
+  void collect_locked(std::vector<Inbound>& out);
+  /// Bookkeeping for traced frames: recv stamp, RTT matching.
   void note_received(rpc::Frame& frame);
   /// Existing outbound connection to `dst`, or a fresh one (with the
   /// configured retry schedule). Null if every attempt failed. Dials
@@ -147,25 +177,26 @@ class SocketTransport final : public NodeTransport {
   /// sends to healthy ones.
   ConnPtr peer_conn(net::NodeId dst);
   void drop_peer_conn(net::NodeId dst, const ConnPtr& conn);
-  void accept_loop();
-  void reader_loop(ConnPtr conn);
   void close_conn(const ConnPtr& conn);
-  static void shutdown_conn(const ConnPtr& conn);
 
   SocketTransportConfig config_;
-  Receiver receiver_;
-  std::unique_ptr<ThreadPool> pool_;
-  /// Ready once accept_loop() has returned; from then on no task adds an
-  /// inbound connection or submits to pool_.
-  std::future<void> accept_done_;
   std::atomic<bool> running_{false};
-  std::atomic<int> listen_fd_{-1};
+  /// eventfd that wake() writes and poll() waits on.
+  int wake_fd_ = -1;
 
   std::mutex peers_mutex_;
   std::unordered_map<net::NodeId, ConnPtr> peer_conns_;
 
+  /// The receive side: poll() and a send blocked on a full socket both
+  /// accept and read under this lock.
   std::mutex inbound_mutex_;
-  std::vector<ConnPtr> inbound_conns_;
+  int listen_fd_ = -1;
+  std::vector<InConnPtr> inbound_;
+
+  /// poll()'s descriptor set and the connections behind entries 2.. of it,
+  /// reused across calls (polling thread only).
+  std::vector<pollfd> poll_fds_;
+  std::vector<InConnPtr> poll_conns_;
 
   std::atomic<std::uint64_t> seq_{0};
 

@@ -16,8 +16,10 @@
 // interface, the implementations in this directory link against net/agent.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "net/message.hpp"
 #include "rpc/frame.hpp"
@@ -87,21 +89,35 @@ class Transport {
   virtual void set_trace_clock(TraceClock clock) { (void)clock; }
 };
 
-/// A full per-node backend: Transport plus the receive side. RealNode owns
-/// one of these; received frames are handed to the Receiver on an arbitrary
-/// transport thread, so receivers must only enqueue (the node's driver
-/// thread does the actual protocol work).
+/// A full per-node backend: Transport plus the receive side, driven by the
+/// thread that owns the node. That thread calls open() once, then poll() in
+/// a loop: poll() waits for inbound frames and hands them back, so every
+/// received frame is applied on the owner's own thread. The send_* methods
+/// and wake() may be called from any thread.
 class NodeTransport : public Transport {
  public:
-  /// Sends a reply frame back over the connection a frame arrived on
-  /// (control channel); returns false if that connection is gone. Null/empty
-  /// for one-way frames is allowed.
+  /// Sends a reply frame back over the connection a request arrived on
+  /// (control channel); returns false if that connection is gone.
   using ReplyFn = std::function<bool(const serial::Bytes& encoded_frame)>;
-  using Receiver = std::function<void(rpc::Frame&& frame, ReplyFn reply)>;
+  using Deadline = std::chrono::steady_clock::time_point;
 
-  /// Begin accepting/receiving. `receiver` outlives the transport's stop().
-  virtual void start(Receiver receiver) = 0;
-  /// Tear down connections and worker threads; idempotent.
+  struct Inbound {
+    rpc::Frame frame;
+    /// Set only for ControlRequest frames on a backend with a reply path.
+    /// Call it on the polling thread.
+    ReplyFn reply;
+  };
+
+  /// Begin accepting connections. Starts no thread.
+  virtual void open() = 0;
+  /// Wait until a frame has arrived, `deadline` passes or wake() is called,
+  /// then append every frame received so far to `out`. One polling thread
+  /// at a time.
+  virtual void poll(Deadline deadline, std::vector<Inbound>& out) = 0;
+  /// Make the current (or else the next) poll() return promptly.
+  virtual void wake() = 0;
+  /// Close every connection; idempotent. A concurrent poll() returns by its
+  /// deadline, and a blocked send fails.
   virtual void stop() = 0;
 
   /// Broadcast-side of the reincarnation protocol: push (node, incarnation)

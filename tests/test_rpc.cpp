@@ -5,6 +5,7 @@
 // no exceptions) before any payload bytes reach the deserializers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -758,6 +759,201 @@ TEST(Control, NodeTraceRoundTripsAndRejectsTruncation) {
     serial::Reader rr(prefix);
     EXPECT_THROW(NodeTrace::deserialize(rr), serial::DecodeError) << "cut " << cut;
   }
+}
+
+// ---- the stream framer: random splits and single-byte damage ----
+
+/// One result of cutting frames off a stream: a status, plus the frame
+/// when the status is Ok.
+struct Cut {
+  DecodeStatus status = DecodeStatus::Ok;
+  Frame frame;
+};
+
+bool same_frame(const Frame& a, const Frame& b) {
+  return a.header.type == b.header.type && a.header.flags == b.header.flags &&
+         a.header.incarnation == b.header.incarnation && a.header.src == b.header.src &&
+         a.header.dst == b.header.dst && a.header.seq == b.header.seq &&
+         a.header.body_len == b.header.body_len &&
+         a.header.checksum == b.header.checksum && a.body == b.body &&
+         a.trace == b.trace;
+}
+
+/// The reference: walk `stream` frame by frame with decode_frame on the
+/// bytes that remain, stepping over each frame whose header was sane, until
+/// an incomplete tail (Truncated, not reported) or a header error (reported,
+/// and the end of the stream). `*consumed` is where the walk stopped.
+std::vector<Cut> reference_cuts(const serial::Bytes& stream, std::size_t* consumed) {
+  std::vector<Cut> cuts;
+  std::size_t offset = 0;
+  while (true) {
+    const serial::Bytes rest(stream.begin() + static_cast<std::ptrdiff_t>(offset),
+                             stream.end());
+    Cut cut;
+    cut.status = decode_frame(rest, &cut.frame);
+    if (cut.status == DecodeStatus::Truncated) break;
+    const bool fatal = cut.status == DecodeStatus::BadMagic ||
+                       cut.status == DecodeStatus::BadVersion ||
+                       cut.status == DecodeStatus::BadLength;
+    FrameHeader header;
+    if (!fatal) {
+      EXPECT_EQ(decode_header(rest.data(), rest.size(), &header), DecodeStatus::Ok);
+    }
+    cuts.push_back(std::move(cut));
+    if (fatal) break;
+    offset += kHeaderSize + header.body_len;
+  }
+  *consumed = offset;
+  return cuts;
+}
+
+/// Feed `stream` to a FrameStream in random pieces, each copied into its own
+/// exactly-sized heap block (so a read past a piece is an ASan report), and
+/// cut frames after every piece until the stream wants more or dies.
+std::vector<Cut> streamed_cuts(const serial::Bytes& stream, Rng& rng,
+                               std::size_t* buffered) {
+  FrameStream framer;
+  std::vector<Cut> cuts;
+  std::size_t fed = 0;
+  bool dead = false;
+  while (fed < stream.size() && !dead) {
+    const std::size_t max_piece = rng() % 4 == 0 ? 3 : 600;
+    const std::size_t piece =
+        std::min(stream.size() - fed, 1 + static_cast<std::size_t>(rng() % max_piece));
+    auto block = std::make_unique<std::uint8_t[]>(piece);
+    std::memcpy(block.get(), stream.data() + fed, piece);
+    if (rng() % 2 == 0) {
+      framer.append(block.get(), piece);
+    } else {
+      std::memcpy(framer.prepare(piece), block.get(), piece);
+      framer.commit(piece);
+    }
+    fed += piece;
+    while (true) {
+      Cut cut;
+      cut.status = framer.next(&cut.frame);
+      if (cut.status == DecodeStatus::Truncated) break;
+      dead = cut.status == DecodeStatus::BadMagic ||
+             cut.status == DecodeStatus::BadVersion ||
+             cut.status == DecodeStatus::BadLength;
+      cuts.push_back(std::move(cut));
+      if (dead) break;
+    }
+  }
+  if (dead) {
+    Frame ignored;  // a dead stream stays dead
+    EXPECT_EQ(framer.next(&ignored), cuts.back().status);
+  }
+  *buffered = framer.buffered();
+  return cuts;
+}
+
+/// A random valid frame as cluster traffic looks: any type, small bodies
+/// with the odd agent-sized one, checksummed or not, traced or not.
+serial::Bytes random_frame(Rng& rng, Frame* expect) {
+  const auto type = static_cast<FrameType>(1 + rng() % 6);
+  const std::size_t len = rng() % 8 == 0 ? 1500 + rng() % 1500 : rng() % 240;
+  serial::Bytes body(len);
+  for (auto& b : body) b = static_cast<std::uint8_t>(rng());
+  const bool checksum = rng() % 5 != 0;
+  TraceContext trace;
+  trace.session_id = rng();
+  trace.span_id = rng();
+  trace.origin = static_cast<net::NodeId>(rng() % 8);
+  trace.send_ts_us = static_cast<std::int64_t>(rng() % 1'000'000'000);
+  const bool traced = rng() % 2 == 0;
+  const serial::Bytes wire =
+      encode_frame(type, static_cast<net::NodeId>(rng() % 8),
+                   static_cast<net::NodeId>(rng() % 8), rng(), body, checksum,
+                   static_cast<std::uint16_t>(rng() % 4), traced ? &trace : nullptr);
+  EXPECT_EQ(decode_frame(wire, expect), DecodeStatus::Ok);
+  EXPECT_EQ(expect->body, body);
+  return wire;
+}
+
+TEST(FrameStream, RandomSplitsReassembleEveryFrameByteIdentically) {
+  Rng rng(20260917);
+  for (int round = 0; round < 300; ++round) {
+    serial::Bytes stream;
+    std::vector<Frame> sent;
+    const std::size_t frames = 1 + rng() % 12;
+    for (std::size_t i = 0; i < frames; ++i) {
+      Frame expect;
+      const serial::Bytes wire = random_frame(rng, &expect);
+      stream.insert(stream.end(), wire.begin(), wire.end());
+      sent.push_back(std::move(expect));
+    }
+    // Sometimes leave the last frame half sent.
+    const std::size_t cut_tail = rng() % 3 == 0 ? 1 + rng() % 30 : 0;
+    stream.resize(stream.size() - std::min(cut_tail, stream.size() - 1));
+    std::size_t consumed = 0;
+    const std::vector<Cut> expected = reference_cuts(stream, &consumed);
+    std::size_t buffered = 0;
+    const std::vector<Cut> got = streamed_cuts(stream, rng, &buffered);
+
+    ASSERT_EQ(got.size(), cut_tail == 0 ? frames : frames - 1) << "round " << round;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].status, DecodeStatus::Ok) << "round " << round;
+      EXPECT_TRUE(same_frame(got[i].frame, sent[i])) << "round " << round << " frame " << i;
+    }
+    ASSERT_EQ(expected.size(), got.size());
+    // Every byte fed is either in a cut frame or still buffered.
+    EXPECT_EQ(consumed + buffered, stream.size()) << "round " << round;
+  }
+}
+
+TEST(FrameStream, FlippedBytesYieldTheStatusDecodeFrameGives) {
+  Rng rng(7140);
+  std::size_t damaged_statuses = 0;
+  for (int round = 0; round < 600; ++round) {
+    serial::Bytes stream;
+    const std::size_t frames = 1 + rng() % 8;
+    for (std::size_t i = 0; i < frames; ++i) {
+      Frame ignored;
+      const serial::Bytes wire = random_frame(rng, &ignored);
+      stream.insert(stream.end(), wire.begin(), wire.end());
+    }
+    // Flip one bit of one byte, anywhere: header fields, bodies, trace tails.
+    stream[rng() % stream.size()] ^= static_cast<std::uint8_t>(1u << (rng() % 8));
+    std::size_t consumed = 0;
+    const std::vector<Cut> expected = reference_cuts(stream, &consumed);
+    std::size_t buffered = 0;
+    const std::vector<Cut> got = streamed_cuts(stream, rng, &buffered);
+
+    ASSERT_EQ(got.size(), expected.size()) << "round " << round;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].status, expected[i].status) << "round " << round << " cut " << i;
+      if (got[i].status == DecodeStatus::Ok) {
+        EXPECT_TRUE(same_frame(got[i].frame, expected[i].frame))
+            << "round " << round << " cut " << i;
+      } else {
+        ++damaged_statuses;
+      }
+    }
+    const bool dead = !got.empty() && (got.back().status == DecodeStatus::BadMagic ||
+                                       got.back().status == DecodeStatus::BadVersion ||
+                                       got.back().status == DecodeStatus::BadLength);
+    if (!dead) {
+      EXPECT_EQ(consumed + buffered, stream.size()) << "round " << round;
+    }
+  }
+  // The damage reached every rejection class often enough to matter.
+  EXPECT_GT(damaged_statuses, 200u);
+}
+
+TEST(FrameStream, OversizedLengthIsRejectedFromTheHeaderAlone) {
+  // body_len past kMaxBodyLen is refused as soon as the 40 header bytes are
+  // in, without waiting for (or buffering) any body.
+  serial::Bytes wire = encode_frame(FrameType::AppMessage, 0, 1, 1, {1, 2, 3});
+  const std::uint32_t huge = kMaxBodyLen + 1;
+  for (int i = 0; i < 4; ++i) {  // body_len at offset 28, little-endian
+    wire[28 + i] = static_cast<std::uint8_t>(huge >> (8 * i));
+  }
+  FrameStream framer;
+  framer.append(wire.data(), kHeaderSize);
+  Frame frame;
+  EXPECT_EQ(framer.next(&frame), DecodeStatus::BadLength);
+  EXPECT_EQ(framer.buffered(), kHeaderSize);
 }
 
 }  // namespace

@@ -257,7 +257,11 @@ TEST(CalibratedLatency, UnmeasuredLinksFallBackToTheMeshMedian) {
 class MeshProxy final : public transport::NodeTransport {
  public:
   explicit MeshProxy(transport::InProcTransport& inner) : inner_(inner) {}
-  void start(Receiver receiver) override { inner_.start(std::move(receiver)); }
+  void open() override { inner_.open(); }
+  void poll(Deadline deadline, std::vector<Inbound>& out) override {
+    inner_.poll(deadline, out);
+  }
+  void wake() override { inner_.wake(); }
   void stop() override { inner_.stop(); }
   bool send_message(const net::Message& message) override {
     return inner_.send_message(message);

@@ -1,10 +1,12 @@
 // Transport backend tests: endpoints, the in-process mesh (full frame
-// codec, chaos knobs), the real socket transport over Unix-domain sockets,
-// and the headline cross-substrate equivalence check — the paper-literal
-// N=5 deployment run as five RealNodes over UDS must compute exactly what
-// the discrete-event simulator computes.
+// codec, chaos knobs), the real socket transport over Unix-domain sockets
+// (including raw-socket probes of its receive path), and the headline
+// cross-substrate equivalence check — the paper-literal N=5 deployment run
+// as five RealNodes over UDS must compute exactly what the discrete-event
+// simulator computes.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
@@ -14,6 +16,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <filesystem>
+#include <functional>
+#include <future>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -77,21 +83,31 @@ TEST(Endpoint, LocalUdsClusterNamesOneSocketPerNode) {
 
 // ---- in-process mesh: frame pipeline + chaos knobs ----
 
+/// What one transport has received: count() polls without waiting and
+/// keeps the frames.
 struct FrameSink {
-  std::mutex mutex;
+  NodeTransport* transport = nullptr;
   std::vector<rpc::Frame> frames;
 
-  NodeTransport::Receiver receiver() {
-    return [this](rpc::Frame&& frame, NodeTransport::ReplyFn) {
-      std::lock_guard<std::mutex> lock(mutex);
-      frames.push_back(std::move(frame));
-    };
-  }
   std::size_t count() {
-    std::lock_guard<std::mutex> lock(mutex);
+    std::vector<NodeTransport::Inbound> batch;
+    transport->poll(std::chrono::steady_clock::now(), batch);
+    for (NodeTransport::Inbound& inbound : batch) {
+      frames.push_back(std::move(inbound.frame));
+    }
     return frames.size();
   }
 };
+
+/// Open every transport of `mesh`, one sink each.
+std::vector<FrameSink> open_mesh(InProcMesh& mesh) {
+  std::vector<FrameSink> sinks(mesh.size());
+  for (net::NodeId n = 0; n < mesh.size(); ++n) {
+    mesh.node(n).open();
+    sinks[n].transport = &mesh.node(n);
+  }
+  return sinks;
+}
 
 net::Message make_message(net::NodeId src, net::NodeId dst) {
   net::Message m;
@@ -104,8 +120,7 @@ net::Message make_message(net::NodeId src, net::NodeId dst) {
 
 TEST(InProcMesh, DeliversValidatedAppFrames) {
   InProcMesh mesh(3);
-  std::vector<FrameSink> sinks(3);
-  for (net::NodeId n = 0; n < 3; ++n) mesh.node(n).start(sinks[n].receiver());
+  std::vector<FrameSink> sinks = open_mesh(mesh);
 
   ASSERT_TRUE(mesh.node(0).send_message(make_message(0, 2)));
   ASSERT_EQ(sinks[2].count(), 1u);
@@ -124,8 +139,7 @@ TEST(InProcMesh, DeliversValidatedAppFrames) {
 
 TEST(InProcMesh, ShipsAgentFramesVerbatim) {
   InProcMesh mesh(2);
-  std::vector<FrameSink> sinks(2);
-  for (net::NodeId n = 0; n < 2; ++n) mesh.node(n).start(sinks[n].receiver());
+  std::vector<FrameSink> sinks = open_mesh(mesh);
 
   const serial::Bytes body = {0xDE, 0xAD, 0xBE, 0xEF};
   ASSERT_TRUE(mesh.node(0).send_agent_frame(1, body));
@@ -139,8 +153,7 @@ TEST(InProcMesh, ShipsAgentFramesVerbatim) {
 
 TEST(InProcMesh, CorruptedFramesAreRejectedByChecksum) {
   InProcMesh mesh(2);
-  std::vector<FrameSink> sinks(2);
-  for (net::NodeId n = 0; n < 2; ++n) mesh.node(n).start(sinks[n].receiver());
+  std::vector<FrameSink> sinks = open_mesh(mesh);
 
   mesh.corrupt_next(2);
   EXPECT_TRUE(mesh.node(0).send_message(make_message(0, 1)));
@@ -158,8 +171,7 @@ TEST(InProcMesh, WithoutChecksumsCorruptionGoesUndetected) {
   // Control experiment for the rule above: same damage, checksums off —
   // the frame is delivered with a silently wrong body.
   InProcMesh mesh(2, /*checksum=*/false);
-  std::vector<FrameSink> sinks(2);
-  for (net::NodeId n = 0; n < 2; ++n) mesh.node(n).start(sinks[n].receiver());
+  std::vector<FrameSink> sinks = open_mesh(mesh);
 
   mesh.corrupt_next(1);
   EXPECT_TRUE(mesh.node(0).send_agent_frame(1, {7, 7, 7}));
@@ -171,8 +183,7 @@ TEST(InProcMesh, WithoutChecksumsCorruptionGoesUndetected) {
 
 TEST(InProcMesh, SendLossEatsAppMessagesButNeverAgents) {
   InProcMesh mesh(2);
-  std::vector<FrameSink> sinks(2);
-  for (net::NodeId n = 0; n < 2; ++n) mesh.node(n).start(sinks[n].receiver());
+  std::vector<FrameSink> sinks = open_mesh(mesh);
 
   mesh.set_send_loss(1.0, /*seed=*/42);
   for (int i = 0; i < 10; ++i) {
@@ -189,8 +200,7 @@ TEST(InProcMesh, SendLossEatsAppMessagesButNeverAgents) {
 
 TEST(InProcMesh, CutLinksVanishMessagesAndFailMigrations) {
   InProcMesh mesh(2);
-  std::vector<FrameSink> sinks(2);
-  for (net::NodeId n = 0; n < 2; ++n) mesh.node(n).start(sinks[n].receiver());
+  std::vector<FrameSink> sinks = open_mesh(mesh);
 
   mesh.set_link_up(0, 1, false);
   EXPECT_TRUE(mesh.node(0).send_message(make_message(0, 1)));  // vanishes
@@ -388,24 +398,60 @@ class TempDir {
   std::string path_;
 };
 
-struct WaitingSink {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::vector<rpc::Frame> frames;
+/// The test-side stand-in for a node's driver thread: polls one transport
+/// and keeps every frame that arrives. `on_frame`, when set, runs on the
+/// polling thread first (where a ControlRequest's reply may be sent).
+class Poller {
+ public:
+  using Handler = std::function<void(NodeTransport::Inbound&)>;
 
-  NodeTransport::Receiver receiver() {
-    return [this](rpc::Frame&& frame, NodeTransport::ReplyFn) {
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        frames.push_back(std::move(frame));
+  explicit Poller(NodeTransport& transport, Handler on_frame = {})
+      : transport_(transport), on_frame_(std::move(on_frame)), thread_([this] { loop(); }) {}
+  ~Poller() { stop(); }
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
+
+  /// Join the polling thread; the transport may be stopped afterwards.
+  void stop() {
+    if (!thread_.joinable()) return;
+    done_.store(true);
+    transport_.wake();
+    thread_.join();
+  }
+
+  bool wait_for_frames(std::size_t n, std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, timeout, [&] { return frames_.size() >= n; });
+  }
+
+  std::vector<rpc::Frame> frames() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return frames_;
+  }
+
+ private:
+  void loop() {
+    std::vector<NodeTransport::Inbound> batch;
+    while (!done_.load()) {
+      transport_.poll(std::chrono::steady_clock::now() + std::chrono::milliseconds(50),
+                      batch);
+      for (NodeTransport::Inbound& inbound : batch) {
+        if (on_frame_) on_frame_(inbound);
+        std::lock_guard<std::mutex> lock(mutex_);
+        frames_.push_back(std::move(inbound.frame));
       }
-      cv.notify_all();
-    };
+      batch.clear();
+      cv_.notify_all();
+    }
   }
-  bool wait_for_frames(std::size_t n, std::chrono::seconds timeout) {
-    std::unique_lock<std::mutex> lock(mutex);
-    return cv.wait_for(lock, timeout, [&] { return frames.size() >= n; });
-  }
+
+  NodeTransport& transport_;
+  Handler on_frame_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<rpc::Frame> frames_;
+  std::atomic<bool> done_{false};
+  std::thread thread_;
 };
 
 SocketTransportConfig uds_config(const std::vector<Endpoint>& endpoints,
@@ -416,6 +462,21 @@ SocketTransportConfig uds_config(const std::vector<Endpoint>& endpoints,
   return config;
 }
 
+/// A bare client connection to `endpoint` (a UDS path), as a peer or a
+/// control client would open it. -1 on failure.
+int dial(const Endpoint& endpoint) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s", endpoint.path.c_str());
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 TEST(SocketTransport, MovesFramesBothWaysOverUds) {
   TempDir dir;
   ASSERT_FALSE(dir.path().empty());
@@ -423,22 +484,23 @@ TEST(SocketTransport, MovesFramesBothWaysOverUds) {
 
   SocketTransport a(uds_config(endpoints, 0));
   SocketTransport b(uds_config(endpoints, 1));
-  WaitingSink sink_a, sink_b;
-  a.start(sink_a.receiver());
-  b.start(sink_b.receiver());
+  a.open();
+  b.open();
+  Poller poll_a(a), poll_b(b);
 
   ASSERT_TRUE(a.send_message(make_message(0, 1)));
-  ASSERT_TRUE(sink_b.wait_for_frames(1, std::chrono::seconds(10)));
-  const net::Message to_b =
-      rpc::decode_app_body(sink_b.frames[0].header, sink_b.frames[0].body);
+  ASSERT_TRUE(poll_b.wait_for_frames(1, std::chrono::seconds(10)));
+  const rpc::Frame at_b = poll_b.frames()[0];
+  const net::Message to_b = rpc::decode_app_body(at_b.header, at_b.body);
   EXPECT_EQ(to_b.src, 0u);
   EXPECT_EQ(to_b.payload, (serial::Bytes{1, 2, 3}));
 
   const serial::Bytes agent_body(300, 0x5A);
   ASSERT_TRUE(b.send_agent_frame(0, agent_body));
-  ASSERT_TRUE(sink_a.wait_for_frames(1, std::chrono::seconds(10)));
-  EXPECT_EQ(sink_a.frames[0].type(), rpc::FrameType::AgentTransfer);
-  EXPECT_EQ(sink_a.frames[0].body, agent_body);
+  ASSERT_TRUE(poll_a.wait_for_frames(1, std::chrono::seconds(10)));
+  const rpc::Frame at_a = poll_a.frames()[0];
+  EXPECT_EQ(at_a.type(), rpc::FrameType::AgentTransfer);
+  EXPECT_EQ(at_a.body, agent_body);
 
   EXPECT_GE(a.stats().frames_sent, 1u);
   EXPECT_GE(b.stats().frames_received, 1u);
@@ -447,33 +509,27 @@ TEST(SocketTransport, MovesFramesBothWaysOverUds) {
   EXPECT_EQ(a.stats().checksum_rejected, 0u);
   EXPECT_EQ(a.stats().malformed_rejected, 0u);
 
+  poll_a.stop();
+  poll_b.stop();
   a.stop();
   b.stop();
 }
 
 TEST(SocketTransport, StopWhileAPeerKeepsDialingIsClean) {
-  // stop() once nulled pool_ before joining its workers while accept_loop
-  // could still hand a just-accepted connection to pool_->submit. Restart
-  // one transport over and over while another thread keeps dialing it, so
-  // accepts land right in that window.
+  // Reopen one transport over and over while another thread keeps dialing
+  // it: each cycle accepts whatever the dialer queued, then stops with
+  // connections half set up. Nothing may leak, hang or touch a closed
+  // descriptor.
   TempDir dir;
   ASSERT_FALSE(dir.path().empty());
   const auto endpoints = local_uds_cluster(dir.path(), 1);
-  SocketTransportConfig config = uds_config(endpoints, 0);
-  config.reader_threads = 2;
-  SocketTransport transport(config);
+  SocketTransport transport(uds_config(endpoints, 0));
 
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s",
-                endpoints[0].path.c_str());
   std::atomic<bool> dialing{true};
   std::thread dialer([&] {
     while (dialing.load()) {
-      const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      if (fd < 0) continue;
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
-      ::close(fd);
+      const int fd = dial(endpoints[0]);
+      if (fd >= 0) ::close(fd);
     }
   });
   // At least 1000 cycles and enough accepts to have hit the window, bounded
@@ -482,7 +538,10 @@ TEST(SocketTransport, StopWhileAPeerKeepsDialingIsClean) {
   int cycles = 0;
   while ((cycles < 1000 || transport.stats().accepts < 20) &&
          std::chrono::steady_clock::now() < deadline) {
-    transport.start([](rpc::Frame&&, NodeTransport::ReplyFn) {});
+    transport.open();
+    std::vector<NodeTransport::Inbound> ignored;
+    transport.poll(std::chrono::steady_clock::now() + std::chrono::milliseconds(1),
+                   ignored);
     transport.stop();
     ++cycles;
   }
@@ -502,21 +561,23 @@ TEST(SocketTransport, MovesFramesOverTcpLoopback) {
 
   SocketTransport a(uds_config(endpoints, 0));
   SocketTransport b(uds_config(endpoints, 1));
-  WaitingSink sink_a, sink_b;
-  a.start(sink_a.receiver());
-  b.start(sink_b.receiver());
+  a.open();
+  b.open();
+  Poller poll_a(a), poll_b(b);
 
   ASSERT_TRUE(a.send_message(make_message(0, 1)));
-  ASSERT_TRUE(sink_b.wait_for_frames(1, std::chrono::seconds(10)));
-  const net::Message out =
-      rpc::decode_app_body(sink_b.frames[0].header, sink_b.frames[0].body);
+  ASSERT_TRUE(poll_b.wait_for_frames(1, std::chrono::seconds(10)));
+  const rpc::Frame at_b = poll_b.frames()[0];
+  const net::Message out = rpc::decode_app_body(at_b.header, at_b.body);
   EXPECT_EQ(out.payload, (serial::Bytes{1, 2, 3}));
 
   const serial::Bytes agent_body(4096, 0xC3);  // bigger than one MTU segment
   ASSERT_TRUE(b.send_agent_frame(0, agent_body));
-  ASSERT_TRUE(sink_a.wait_for_frames(1, std::chrono::seconds(10)));
-  EXPECT_EQ(sink_a.frames[0].body, agent_body);
+  ASSERT_TRUE(poll_a.wait_for_frames(1, std::chrono::seconds(10)));
+  EXPECT_EQ(poll_a.frames()[0].body, agent_body);
 
+  poll_a.stop();
+  poll_b.stop();
   a.stop();
   b.stop();
 }
@@ -528,10 +589,12 @@ TEST(SocketTransport, RpcCallRoundTripsThroughTheReplyPath) {
 
   // A server that echoes every ControlRequest body back in a ControlReply.
   SocketTransport server(uds_config(endpoints, 0));
-  server.start([](rpc::Frame&& frame, NodeTransport::ReplyFn reply) {
-    if (frame.type() != rpc::FrameType::ControlRequest || !reply) return;
-    reply(rpc::encode_frame(rpc::FrameType::ControlReply, 0, frame.header.src,
-                            frame.header.seq, frame.body));
+  server.open();
+  Poller poller(server, [](NodeTransport::Inbound& inbound) {
+    const rpc::Frame& frame = inbound.frame;
+    if (frame.type() != rpc::FrameType::ControlRequest || !inbound.reply) return;
+    inbound.reply(rpc::encode_frame(rpc::FrameType::ControlReply, 0,
+                                    frame.header.src, frame.header.seq, frame.body));
   });
 
   const serial::Bytes args = {10, 20, 30};
@@ -544,6 +607,7 @@ TEST(SocketTransport, RpcCallRoundTripsThroughTheReplyPath) {
   EXPECT_EQ(reply.header.seq, 99u);
   EXPECT_EQ(reply.body, args);
 
+  poller.stop();
   server.stop();
 }
 
@@ -556,12 +620,280 @@ TEST(SocketTransport, UnreachablePeerFailsSendsWithoutHanging) {
   config.connect_attempts = 2;  // nobody is listening on node 1's socket
   config.connect_backoff = std::chrono::milliseconds(10);
   SocketTransport a(config);
-  WaitingSink sink;
-  a.start(sink.receiver());
+  a.open();
 
   EXPECT_FALSE(a.send_agent_frame(1, {1, 2, 3}));
   EXPECT_GE(a.stats().send_failures, 1u);
   a.stop();
+}
+
+// ---- the receive path, probed with raw sockets ----
+
+bool write_raw(int fd, const std::uint8_t* data, std::size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    data += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+bool write_raw(int fd, const serial::Bytes& bytes) {
+  return write_raw(fd, bytes.data(), bytes.size());
+}
+
+serial::Bytes app_frame(std::uint64_t seq, const serial::Bytes& body) {
+  return rpc::encode_frame(rpc::FrameType::AppMessage, 1, 0, seq, body);
+}
+
+template <typename Pred>
+bool eventually(Pred pred, std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
+/// Threads of this process right now (/proc/self/task), once the count has
+/// stopped changing: a just-joined thread can linger there for a moment.
+std::size_t settled_thread_count() {
+  const auto count = [] {
+    return static_cast<std::size_t>(
+        std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                      std::filesystem::directory_iterator{}));
+  };
+  std::size_t last = count();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const std::size_t now = count();
+    if (now == last) return now;
+    last = now;
+  }
+  return last;
+}
+
+/// One listening transport (node 0 of a two-node UDS layout) plus the
+/// thread that polls it.
+struct ReceiveFixture {
+  ReceiveFixture()
+      : endpoints(local_uds_cluster(dir.path(), 2)),
+        transport(uds_config(endpoints, 0)) {
+    transport.open();
+    poller = std::make_unique<Poller>(transport);
+  }
+  ~ReceiveFixture() {
+    poller->stop();
+    transport.stop();
+  }
+
+  TempDir dir;
+  std::vector<Endpoint> endpoints;
+  SocketTransport transport;
+  std::unique_ptr<Poller> poller;
+};
+
+TEST(SocketReceive, ChecksumMismatchDropsOneFrameAndKeepsTheConnection) {
+  ReceiveFixture fx;
+  const int fd = dial(fx.endpoints[0]);
+  ASSERT_GE(fd, 0);
+  serial::Bytes corrupt = app_frame(1, {1, 2, 3, 4});
+  corrupt.back() ^= 0xFF;  // a body byte: the header still frames it
+  serial::Bytes both = corrupt;
+  const serial::Bytes good = app_frame(2, {5, 6, 7});
+  both.insert(both.end(), good.begin(), good.end());
+  ASSERT_TRUE(write_raw(fd, both));
+
+  ASSERT_TRUE(fx.poller->wait_for_frames(1, std::chrono::seconds(10)));
+  EXPECT_EQ(fx.poller->frames()[0].header.seq, 2u);
+  EXPECT_EQ(fx.poller->frames()[0].body, (serial::Bytes{5, 6, 7}));
+  EXPECT_EQ(fx.transport.stats().checksum_rejected, 1u);
+  EXPECT_EQ(fx.transport.stats().malformed_rejected, 0u);
+
+  // The stream stayed aligned, so the connection stayed open.
+  ASSERT_TRUE(write_raw(fd, app_frame(3, {8})));
+  ASSERT_TRUE(fx.poller->wait_for_frames(2, std::chrono::seconds(10)));
+  EXPECT_EQ(fx.poller->frames()[1].header.seq, 3u);
+  ::close(fd);
+}
+
+TEST(SocketReceive, BadMagicClosesTheConnection) {
+  ReceiveFixture fx;
+  const int fd = dial(fx.endpoints[0]);
+  ASSERT_GE(fd, 0);
+  serial::Bytes garbage = app_frame(1, {1, 2, 3});
+  garbage[0] ^= 0xFF;
+  ASSERT_TRUE(write_raw(fd, garbage));
+
+  // The client sees the node hang up: EOF, not a timeout.
+  pollfd pfd{fd, POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 10000), 1);
+  std::uint8_t byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
+  EXPECT_TRUE(eventually([&] { return fx.transport.stats().malformed_rejected == 1; },
+                         std::chrono::seconds(10)));
+  EXPECT_EQ(fx.transport.stats().checksum_rejected, 0u);
+  EXPECT_TRUE(fx.poller->frames().empty());
+  ::close(fd);
+}
+
+TEST(SocketReceive, ByteAtATimeAndBatchedWritesBothReassemble) {
+  ReceiveFixture fx;
+  const int fd = dial(fx.endpoints[0]);
+  ASSERT_GE(fd, 0);
+
+  // One frame dribbled out a byte per send, so the node sees every split.
+  serial::Bytes body(97);
+  for (std::size_t i = 0; i < body.size(); ++i) body[i] = static_cast<std::uint8_t>(i * 7);
+  const serial::Bytes dribbled = app_frame(1, body);
+  for (const std::uint8_t byte : dribbled) {
+    ASSERT_TRUE(write_raw(fd, &byte, 1));
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_TRUE(fx.poller->wait_for_frames(1, std::chrono::seconds(10)));
+  EXPECT_EQ(fx.poller->frames()[0].body, body);
+
+  // Then 200 frames of assorted sizes in a single write.
+  constexpr std::uint64_t kBatch = 200;
+  serial::Bytes batch;
+  for (std::uint64_t seq = 2; seq < 2 + kBatch; ++seq) {
+    const serial::Bytes frame =
+        app_frame(seq, serial::Bytes(seq % 5 == 0 ? 2100 : seq % 64, static_cast<std::uint8_t>(seq)));
+    batch.insert(batch.end(), frame.begin(), frame.end());
+  }
+  ASSERT_TRUE(write_raw(fd, batch));
+  ASSERT_TRUE(fx.poller->wait_for_frames(1 + kBatch, std::chrono::seconds(10)));
+  const std::vector<rpc::Frame> frames = fx.poller->frames();
+  for (std::uint64_t seq = 2; seq < 2 + kBatch; ++seq) {
+    const rpc::Frame& frame = frames[seq - 1];
+    ASSERT_EQ(frame.header.seq, seq);
+    EXPECT_EQ(frame.body, serial::Bytes(seq % 5 == 0 ? 2100 : seq % 64,
+                                        static_cast<std::uint8_t>(seq)));
+  }
+  EXPECT_EQ(fx.transport.stats().frames_received, 1 + kBatch);
+  EXPECT_EQ(fx.transport.stats().checksum_rejected, 0u);
+  ::close(fd);
+}
+
+TEST(SocketReceive, AStalledHalfHeaderDelaysNoOtherConnection) {
+  ReceiveFixture fx;
+  const int stalled = dial(fx.endpoints[0]);
+  const int healthy = dial(fx.endpoints[0]);
+  ASSERT_GE(stalled, 0);
+  ASSERT_GE(healthy, 0);
+  const serial::Bytes slow = app_frame(1, {1, 1, 1});
+  ASSERT_TRUE(write_raw(stalled, slow.data(), rpc::kHeaderSize / 2));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(write_raw(healthy, app_frame(2, {2, 2})));
+  ASSERT_TRUE(fx.poller->wait_for_frames(1, std::chrono::seconds(1)));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  EXPECT_EQ(fx.poller->frames()[0].header.seq, 2u);
+
+  // The stalled connection's frame still completes once the rest arrives.
+  ASSERT_TRUE(write_raw(stalled, slow.data() + rpc::kHeaderSize / 2,
+                        slow.size() - rpc::kHeaderSize / 2));
+  ASSERT_TRUE(fx.poller->wait_for_frames(2, std::chrono::seconds(10)));
+  EXPECT_EQ(fx.poller->frames()[1].header.seq, 1u);
+  ::close(stalled);
+  ::close(healthy);
+}
+
+TEST(SocketReceive, MutualBulkSendsDoNotDeadlock) {
+  // Two single-threaded nodes each write 16 MiB to the other before they
+  // poll: far more than both socket buffers hold. A send that would block
+  // must keep draining its own inbound connections, or both wait forever.
+  TempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const auto endpoints = local_uds_cluster(dir.path(), 2);
+  SocketTransport a(uds_config(endpoints, 0));
+  SocketTransport b(uds_config(endpoints, 1));
+  a.open();
+  b.open();
+  constexpr std::size_t kBulk = 16u << 20;
+  const auto payload = [](std::uint8_t salt) {
+    serial::Bytes bytes(kBulk);
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      bytes[i] = static_cast<std::uint8_t>((i * 131) ^ (i >> 9) ^ salt);
+    }
+    return bytes;
+  };
+  const serial::Bytes to_b = payload(0xA5);
+  const serial::Bytes to_a = payload(0x3C);
+
+  std::atomic<bool> gave_up{false};
+  // One node's driver thread: send, then poll until the peer's bulk frame
+  // is in. Returns the received body (empty on failure).
+  const auto run_node = [&gave_up](SocketTransport& self, net::NodeId peer,
+                                   const serial::Bytes& out) {
+    if (!self.send_agent_frame(peer, out)) return serial::Bytes{};
+    std::vector<NodeTransport::Inbound> batch;
+    while (batch.empty() && !gave_up.load()) {
+      self.poll(std::chrono::steady_clock::now() + std::chrono::milliseconds(50), batch);
+    }
+    return batch.empty() ? serial::Bytes{} : std::move(batch[0].frame.body);
+  };
+  auto node_a = std::async(std::launch::async, run_node, std::ref(a), 1, std::cref(to_b));
+  auto node_b = std::async(std::launch::async, run_node, std::ref(b), 0, std::cref(to_a));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  const bool finished = node_a.wait_until(deadline) == std::future_status::ready &&
+                        node_b.wait_until(deadline) == std::future_status::ready;
+  if (!finished) {
+    ADD_FAILURE() << "the two bulk sends deadlocked";
+    gave_up.store(true);
+    a.stop();  // fails the blocked sends so both threads return
+    b.stop();
+  }
+  EXPECT_TRUE(node_a.get() == to_a);
+  EXPECT_TRUE(node_b.get() == to_b);
+  a.stop();
+  b.stop();
+}
+
+TEST(SocketReceive, RequestStopWakesAnIdleNodePromptly) {
+  TempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  RealNodeConfig config;
+  config.node = 0;
+  config.endpoints = local_uds_cluster(dir.path(), 2);
+  config.marp.reliable_commit = true;
+  config.sessions = 0;
+  RealNode node(std::move(config));
+  node.start();
+  ASSERT_TRUE(ControlClient(node.config().endpoints[0], 0).ping());
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));  // past start_delay: idle
+
+  const auto t0 = std::chrono::steady_clock::now();
+  node.request_stop();
+  node.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(100));
+}
+
+TEST(SocketReceive, OpenStartsNoThreadAndANodeRunsOnOne) {
+  TempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const auto endpoints = local_uds_cluster(dir.path(), 2);
+  const std::size_t before = settled_thread_count();
+  {
+    SocketTransport transport(uds_config(endpoints, 0));
+    transport.open();
+    EXPECT_EQ(settled_thread_count(), before);
+    transport.stop();
+  }
+
+  RealNodeConfig config;
+  config.node = 0;
+  config.endpoints = endpoints;
+  config.marp.reliable_commit = true;
+  config.sessions = 0;
+  RealNode node(std::move(config));
+  node.start();
+  ASSERT_TRUE(ControlClient(endpoints[0], 0).ping());  // the node is serving
+  EXPECT_EQ(settled_thread_count(), before + 1);
+  node.request_stop();
+  node.join();
 }
 
 // ---- the tentpole invariant: sim and sockets compute the same thing ----
@@ -672,10 +1004,12 @@ TEST(SocketTransport, RpcCallExReportsTypedFailures) {
   // status the supervisor reads as "hung == dead". Distinguishable from
   // ConnectFailed (just restarting) by construction.
   SocketTransport mute(uds_config(endpoints, 0));
-  mute.start([](rpc::Frame&&, NodeTransport::ReplyFn) {});
+  mute.open();
+  Poller poller(mute);
   EXPECT_EQ(SocketTransport::rpc_call_ex(endpoints[0], request, &reply,
                                          std::chrono::milliseconds(300)),
             SocketTransport::RpcStatus::Timeout);
+  poller.stop();
   mute.stop();
 
   EXPECT_STREQ(SocketTransport::rpc_status_name(SocketTransport::RpcStatus::Timeout),
@@ -702,10 +1036,12 @@ TEST(ControlClient, BoundedRetryReportsTypedStatus) {
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
 
   SocketTransport mute(uds_config(endpoints, 0));
-  mute.start([](rpc::Frame&&, NodeTransport::ReplyFn) {});
+  mute.open();
+  Poller poller(mute);
   ControlClient hung(endpoints[0], 0, policy);
   EXPECT_FALSE(hung.ping());
   EXPECT_EQ(hung.last_status(), SocketTransport::RpcStatus::Timeout);
+  poller.stop();
   mute.stop();
 }
 
@@ -740,8 +1076,7 @@ TEST(IncarnationFence, StaleFramesAreDroppedAndAnnounceRaisesTheFloor) {
     SocketTransportConfig tc = uds_config(endpoints, 1);
     tc.incarnation = 2;
     SocketTransport life2(tc);
-    WaitingSink sink;
-    life2.start(sink.receiver());
+    life2.open();
     ASSERT_TRUE(life2.send_agent_frame(0, {0xDE, 0xAD}));
     life2.stop();
   }
@@ -751,8 +1086,7 @@ TEST(IncarnationFence, StaleFramesAreDroppedAndAnnounceRaisesTheFloor) {
     SocketTransportConfig tc = uds_config(endpoints, 1);
     tc.incarnation = 1;
     SocketTransport life1(tc);
-    WaitingSink sink;
-    life1.start(sink.receiver());
+    life1.open();
     ASSERT_TRUE(life1.send_agent_frame(0, {0xBE, 0xEF}));
     EXPECT_TRUE(poll_rejected(1));
     // An Announce from incarnation 4 raises the floor without any data
@@ -760,8 +1094,7 @@ TEST(IncarnationFence, StaleFramesAreDroppedAndAnnounceRaisesTheFloor) {
     SocketTransportConfig tc4 = uds_config(endpoints, 1);
     tc4.incarnation = 4;
     SocketTransport life4(tc4);
-    WaitingSink sink4;
-    life4.start(sink4.receiver());
+    life4.open();
     ASSERT_TRUE(life4.send_announce(0));
     life4.stop();
     life1.stop();
@@ -770,8 +1103,7 @@ TEST(IncarnationFence, StaleFramesAreDroppedAndAnnounceRaisesTheFloor) {
     SocketTransportConfig tc = uds_config(endpoints, 1);
     tc.incarnation = 2;
     SocketTransport life2(tc);
-    WaitingSink sink;
-    life2.start(sink.receiver());
+    life2.open();
     ASSERT_TRUE(life2.send_agent_frame(0, {0xCA, 0xFE}));
     EXPECT_TRUE(poll_rejected(2));
     life2.stop();

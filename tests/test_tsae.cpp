@@ -9,6 +9,7 @@
 #include "net/latency.hpp"
 #include "net/topology.hpp"
 #include "runner/experiment.hpp"
+#include "serial/byte_buffer.hpp"
 #include "sim/simulator.hpp"
 #include "workload/trace.hpp"
 
@@ -165,6 +166,25 @@ TEST(Tsae, PartitionedGroupsConvergeAfterHeal) {
     const auto value = stack.protocol.server(node).store().read("item");
     ASSERT_TRUE(value.has_value());
     EXPECT_EQ(value->value, reference->value);
+  }
+}
+
+TEST(Tsae, HugeSummaryCountsAreDecodeErrors) {
+  // A summary's entry count comes off the wire. Counts far beyond the bytes
+  // that follow must be rejected as malformed input, not drive an
+  // allocation (2^40 entries would be std::bad_alloc, 2^62
+  // std::length_error).
+  Stack stack(3);
+  for (const std::uint64_t count : {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+    serial::Writer w;
+    w.varint(count);
+    w.varint(7);
+    for (const net::MessageType type : {kTsaeSummary, kTsaeReply}) {
+      EXPECT_THROW(stack.protocol.server(1).handle_message(
+                       net::Message{0, 1, type, w.bytes()}),
+                   serial::DecodeError)
+          << "count " << count << ", type " << type;
+    }
   }
 }
 
