@@ -77,10 +77,15 @@ std::unique_ptr<MobileAgent> AgentPlatform::decode_frame(const serial::Bytes& by
   const std::string type_name = r.str();
   const AgentId id = AgentId::deserialize(r);
   const serial::Bytes state = r.raw();
+  if (!registry_.contains(type_name)) {
+    throw serial::MalformedError("unknown agent type: " + type_name);
+  }
   std::unique_ptr<MobileAgent> agent = registry_.create(type_name);
   serial::Reader state_reader(state);
   agent->deserialize(state_reader);
-  MARP_ENSURE_MSG(state_reader.at_end(), "agent state not fully consumed: " + type_name);
+  if (!state_reader.at_end()) {
+    throw serial::MalformedError("agent state not fully consumed: " + type_name);
+  }
   agent->id_ = id;
   return agent;
 }

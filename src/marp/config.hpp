@@ -156,26 +156,20 @@ struct MarpConfig {
   /// factor in the paper's ALT metric.
   sim::SimTime visit_service_time = sim::SimTime::millis(2);
 
-  /// Local processing time for the read path (read local copy).
-  sim::SimTime local_read_time = sim::SimTime::micros(100);
-
-  /// UPDATE re-broadcast cadence while waiting for a majority of acks, and
-  /// the number of rounds before the update is aborted.
+  /// UPDATE re-broadcast cadence while waiting for a write quorum of acks
+  /// (for at most 20 rounds; update_agent.cpp).
   sim::SimTime ack_retry_interval = sim::SimTime::millis(100);
-  std::uint32_t max_ack_rounds = 20;
 
-  /// Acknowledged COMMIT/REPORT delivery: every server acks each COMMIT
-  /// copy, the origin acks the REPORT, and the winner lingers (without
-  /// blocking the decided outcome) re-sending COMMIT to silent servers and
-  /// REPORT to a silent origin until both are covered or
-  /// `max_commit_rounds` expires. This is what makes a commit immune to
-  /// drops and duplication on live links; servers silent past the rounds
-  /// (crashed, long partition) catch up via recovery sync or anti-entropy.
-  /// Off (default) keeps the paper's fire-and-forget message budget —
-  /// chaos and lossy-link experiments turn it on.
+  /// Acknowledged COMMIT/RELEASE/REPORT delivery: every server acks each
+  /// COMMIT or RELEASE copy, the origin acks the REPORT, and the agent
+  /// lingers (without blocking the decided outcome) re-sending the outcome
+  /// to silent servers and REPORT to a silent origin every 100 ms for up
+  /// to 50 rounds (update_agent.cpp). This makes an outcome immune to drops
+  /// and duplication on live links; servers silent past the rounds catch
+  /// up via recovery sync or anti-entropy. Off (default) keeps the paper's
+  /// fire-and-forget message budget — chaos and lossy-link experiments
+  /// turn it on.
   bool reliable_commit = false;
-  sim::SimTime commit_retry_interval = sim::SimTime::millis(100);
-  std::uint32_t max_commit_rounds = 50;
 
   /// Background store reconciliation: every interval each live server asks
   /// one random live peer for its store and merges it under the Thomas
@@ -214,19 +208,6 @@ struct MarpConfig {
   /// not depend on this — the per-server grants are exclusive — it only
   /// bounds the mutual-waiting stall.
   sim::SimTime defer_timeout = sim::SimTime::millis(150);
-
-  /// Multi-group claims only: how long a parked agent tolerates an unchanged
-  /// wait — heading some of its lock groups while a *younger* agent heads
-  /// another — before it withdraws from every Locking List and re-queues at
-  /// the tails. Per-group winner selection is by queue position, so agents
-  /// with overlapping group sets can wait on each other in a cycle; in any
-  /// such cycle at least one member waits on a younger winner, so this rule
-  /// always breaks it. Single-group agents (the paper's protocol) never
-  /// trigger it.
-  /// The clock only runs while the losing view is static (any change to the
-  /// set of winners we are losing to resets it), so this can sit close to
-  /// defer_timeout without triggering on healthy waits.
-  sim::SimTime requeue_timeout = sim::SimTime::millis(200);
 
   /// Delay until all servers are informed of a fail-stop (§2: "all other
   /// processes are informed of the failure in a finite time").

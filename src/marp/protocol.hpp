@@ -71,7 +71,8 @@ struct MarpStats {
   std::uint64_t update_attempts = 0;  ///< begin_update calls (incl. demoted)
   std::uint64_t reads_served = 0;
   /// Times a multi-group agent broke a cross-group wait cycle by leaving
-  /// every Locking List and re-queuing at the tails (see requeue_timeout).
+  /// every Locking List and re-queuing at the tails (see kRequeueTimeout in
+  /// update_agent.cpp).
   std::uint64_t lock_requeues = 0;
   /// Times an agent assembled a write quorum of update grants in some lock
   /// group while another agent's grants also covered a write quorum of that

@@ -1,12 +1,9 @@
 #include "marp/read_agent.hpp"
 
-#include <algorithm>
-
 #include "marp/priority.hpp"
 #include "marp/protocol.hpp"
 #include "marp/server.hpp"
 #include "marp/wire.hpp"
-#include "util/assert.hpp"
 
 namespace marp::core {
 
@@ -25,12 +22,6 @@ std::uint32_t read_quorum_for(const MarpConfig& config, std::size_t n_servers) {
 ReadAgent::ReadAgent(net::NodeId origin, std::uint64_t request_id, std::string key)
     : origin_(origin), request_id_(request_id), key_(std::move(key)) {}
 
-MarpServer& ReadAgent::server_here(agent::AgentContext& ctx) const {
-  auto* server = ctx.service<MarpServer>(kMarpServiceName);
-  MARP_REQUIRE_MSG(server != nullptr, "no MARP server on this host");
-  return *server;
-}
-
 const membership::Electorate& ReadAgent::electorate(agent::AgentContext& ctx) const {
   MarpServer& server = server_here(ctx);
   return server.electorate(server.router().group_of(key_));
@@ -39,26 +30,20 @@ const membership::Electorate& ReadAgent::electorate(agent::AgentContext& ctx) co
 bool ReadAgent::covered(agent::AgentContext& ctx) const {
   const membership::Electorate& e = electorate(ctx);
   if (e.counts_votes()) return gathered_votes_ >= needed_votes_;
-  return e.quorum().read_covered(quorum::make_node_set(visited_));
+  return e.quorum().read_covered(quorum::make_node_set(tour_.visited()));
 }
 
 bool ReadAgent::reselect_quorum(agent::AgentContext& ctx) {
   const membership::Electorate& e = electorate(ctx);
   if (e.counts_votes()) return true;  // every replica is toured already
-  const auto members =
-      e.quorum().pick_read_quorum(quorum::make_node_set(unavailable_), ctx.here());
+  const auto members = e.quorum().pick_read_quorum(tour_.down(), ctx.here());
   if (!members) {
     server_here(ctx).protocol().note_anomaly(Anomaly::FailedReadQuorum);
     finish(ctx, /*success=*/false);
     return false;
   }
   server_here(ctx).protocol().note_quorum_reselection();
-  usl_.clear();
-  for (const net::NodeId node : *members) {
-    if (std::find(visited_.begin(), visited_.end(), node) == visited_.end()) {
-      usl_.push_back(node);
-    }
-  }
+  tour_.retarget(*members);
   if (covered(ctx)) {
     finish(ctx, /*success=*/true);
     return false;
@@ -72,7 +57,7 @@ void ReadAgent::on_created(agent::AgentContext& ctx) {
   epoch_ = server.epoch();
   const membership::Electorate& e = electorate(ctx);
   if (e.counts_votes()) {
-    usl_.assign(e.replicas().begin(), e.replicas().end());
+    tour_.begin(e.replicas());
   } else {
     // Tour one of the electorate's read quorums (a column transversal, a
     // tree quorum, a single lease holder, …). Prefer the origin so the local
@@ -87,13 +72,13 @@ void ReadAgent::on_created(agent::AgentContext& ctx) {
       finish(ctx, /*success=*/false);
       return;
     }
-    usl_.assign(members->begin(), members->end());
+    tour_.begin(*members);
   }
   do_visit(ctx);
 }
 
 void ReadAgent::on_arrival(agent::AgentContext& ctx) {
-  migration_retries_ = 0;
+  tour_.reset_retries();
   do_visit(ctx);
 }
 
@@ -106,19 +91,15 @@ void ReadAgent::do_visit(agent::AgentContext& ctx) {
     // tour over the new view's replica set. best_ survives — a version
     // already observed stays a legal lower bound under the Thomas rule.
     epoch_ = server.epoch();
-    visited_.clear();
+    tour_.forget_visits();
     if (!reselect_quorum(ctx)) return;
   }
   if (server.catching_up()) {
     // A joiner mid-catch-up may still miss committed writes for its newly
     // gained groups; counting it towards the read quorum could surface a
     // stale value. Route around it as if unreachable.
-    routing_costs_ = server.routing_costs();
-    if (std::find(unavailable_.begin(), unavailable_.end(), ctx.here()) ==
-        unavailable_.end()) {
-      unavailable_.push_back(ctx.here());
-    }
-    usl_.erase(std::remove(usl_.begin(), usl_.end(), ctx.here()), usl_.end());
+    tour_.price(server.routing_costs());
+    tour_.drop(ctx.here());
     if (reselect_quorum(ctx)) move_on(ctx);
     return;
   }
@@ -126,9 +107,8 @@ void ReadAgent::do_visit(agent::AgentContext& ctx) {
     if (local->version > best_.version) best_ = *local;
   }
   gathered_votes_ += vote_of(server.config().votes, ctx.here());
-  routing_costs_ = server.routing_costs();
-  visited_.push_back(ctx.here());
-  usl_.erase(std::remove(usl_.begin(), usl_.end(), ctx.here()), usl_.end());
+  tour_.price(server.routing_costs());
+  tour_.visit(ctx.here());
 
   if (covered(ctx)) {
     finish(ctx, /*success=*/true);
@@ -138,7 +118,7 @@ void ReadAgent::do_visit(agent::AgentContext& ctx) {
 }
 
 void ReadAgent::move_on(agent::AgentContext& ctx) {
-  const net::NodeId next = pick_next(ctx);
+  const net::NodeId next = tour_.next_hop(ctx.here());
   if (next == net::kInvalidNode) {
     finish(ctx, /*success=*/false);  // quorum unreachable
     return;
@@ -146,49 +126,15 @@ void ReadAgent::move_on(agent::AgentContext& ctx) {
   ctx.dispatch_to(next);
 }
 
-net::NodeId pick_cheapest_node(const std::vector<net::NodeId>& candidates,
-                               const std::vector<net::NodeId>& unavailable,
-                               net::NodeId here,
-                               const std::vector<std::int64_t>& costs) {
-  net::NodeId best = net::kInvalidNode;
-  std::int64_t best_cost = 0;
-  // A node beyond the routing table has *unknown* cost. Treating it as 0
-  // would make unknown nodes the preferred destination; assume the worst
-  // known link instead, so they are only toured once priced options run out.
-  std::int64_t unknown_cost = 0;
-  for (const std::int64_t cost : costs) {
-    unknown_cost = std::max(unknown_cost, cost);
-  }
-  for (net::NodeId node : candidates) {
-    if (node == here) continue;
-    if (std::find(unavailable.begin(), unavailable.end(), node) !=
-        unavailable.end()) {
-      continue;
-    }
-    const std::int64_t cost = node < costs.size() ? costs[node] : unknown_cost;
-    if (best == net::kInvalidNode || cost < best_cost ||
-        (cost == best_cost && node < best)) {
-      best = node;
-      best_cost = cost;
-    }
-  }
-  return best;
-}
-
-net::NodeId ReadAgent::pick_next(agent::AgentContext& ctx) const {
-  return pick_cheapest_node(usl_, unavailable_, ctx.here(), routing_costs_);
-}
-
 void ReadAgent::on_migration_failed(agent::AgentContext& ctx,
                                     net::NodeId destination) {
   MarpServer& server = server_here(ctx);
-  if (++migration_retries_ <= server.config().migration_retry_limit) {
+  if (tour_.failed_dispatch() <= server.config().migration_retry_limit) {
     ctx.dispatch_to(destination);
     return;
   }
-  unavailable_.push_back(destination);
-  usl_.erase(std::remove(usl_.begin(), usl_.end(), destination), usl_.end());
-  migration_retries_ = 0;
+  tour_.drop(destination);
+  tour_.reset_retries();
   // Re-pick a read quorum around the dead member; keep the current position
   // preferred so the visits already made keep counting.
   if (reselect_quorum(ctx)) move_on(ctx);
@@ -217,16 +163,7 @@ void ReadAgent::serialize(serial::Writer& w) const {
   w.varint(gathered_votes_);
   w.str(best_.value);
   best_.version.serialize(w);
-  auto write_nodes = [](serial::Writer& ww, const std::vector<net::NodeId>& nodes) {
-    ww.varint(nodes.size());
-    for (net::NodeId node : nodes) ww.varint(node);
-  };
-  write_nodes(w, usl_);
-  write_nodes(w, visited_);
-  write_nodes(w, unavailable_);
-  w.varint(routing_costs_.size());
-  for (std::int64_t cost : routing_costs_) w.svarint(cost);
-  w.varint(migration_retries_);
+  tour_.serialize(w);
   // Trailing optional, absent at epoch 0: a static deployment's migration
   // sizes carry no byte of it.
   if (epoch_ != 0) w.varint(epoch_);
@@ -240,22 +177,7 @@ void ReadAgent::deserialize(serial::Reader& r) {
   gathered_votes_ = static_cast<std::uint32_t>(r.varint());
   best_.value = r.str();
   best_.version = replica::Version::deserialize(r);
-  auto read_nodes = [](serial::Reader& rr) {
-    const std::uint64_t n = rr.length_prefix();
-    std::vector<net::NodeId> nodes;
-    nodes.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      nodes.push_back(static_cast<net::NodeId>(rr.varint()));
-    }
-    return nodes;
-  };
-  usl_ = read_nodes(r);
-  visited_ = read_nodes(r);
-  unavailable_ = read_nodes(r);
-  routing_costs_.clear();
-  const std::uint64_t costs = r.varint();
-  for (std::uint64_t i = 0; i < costs; ++i) routing_costs_.push_back(r.svarint());
-  migration_retries_ = static_cast<std::uint32_t>(r.varint());
+  tour_ = Tour::deserialize(r);
   epoch_ = r.at_end() ? 0 : r.varint();
 }
 

@@ -13,9 +13,9 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "agent/agent.hpp"
+#include "marp/tour.hpp"
 #include "membership/electorate.hpp"
 #include "replica/versioned_store.hpp"
 
@@ -25,16 +25,6 @@ class MarpServer;
 
 /// Registry name for this agent type.
 inline constexpr const char* kReadAgentType = "marp.read";
-
-/// Cheapest candidate by the routing-cost table, excluding `here` and the
-/// `unavailable` nodes; ties break to the lower id. Nodes beyond the table
-/// have *unknown* cost (e.g. the cluster grew since the costs were
-/// recorded) and are priced at the worst known link, so they are toured
-/// only once every priced option is exhausted. kInvalidNode when empty.
-net::NodeId pick_cheapest_node(const std::vector<net::NodeId>& candidates,
-                               const std::vector<net::NodeId>& unavailable,
-                               net::NodeId here,
-                               const std::vector<std::int64_t>& costs);
 
 class ReadAgent final : public agent::MobileAgent {
  public:
@@ -50,15 +40,11 @@ class ReadAgent final : public agent::MobileAgent {
   void serialize(serial::Writer& w) const override;
   void deserialize(serial::Reader& r) override;
 
-  std::uint32_t servers_visited() const noexcept {
-    return static_cast<std::uint32_t>(visited_.size());
-  }
+  std::uint32_t servers_visited() const noexcept { return tour_.servers_visited(); }
 
  private:
-  MarpServer& server_here(agent::AgentContext& ctx) const;
   void do_visit(agent::AgentContext& ctx);
   void finish(agent::AgentContext& ctx, bool success);
-  net::NodeId pick_next(agent::AgentContext& ctx) const;
   /// Migrate to the cheapest server left on the tour, or report failure
   /// when none is.
   void move_on(agent::AgentContext& ctx);
@@ -67,8 +53,8 @@ class ReadAgent final : public agent::MobileAgent {
   const membership::Electorate& electorate(agent::AgentContext& ctx) const;
   /// Whether the servers visited so far cover a read quorum.
   bool covered(agent::AgentContext& ctx) const;
-  /// Re-select a read quorum around unavailable_ (electorates that count
-  /// votes tour every replica and have nothing to re-pick). Returns false
+  /// Re-select a read quorum around the unavailable servers (electorates
+  /// that count votes tour every replica and have nothing to re-pick). Returns false
   /// when the tour is over (no quorum left → failure reported, or the
   /// visits already cover → success reported); true to keep touring.
   bool reselect_quorum(agent::AgentContext& ctx);
@@ -81,11 +67,7 @@ class ReadAgent final : public agent::MobileAgent {
   std::uint32_t needed_votes_ = 0;
   std::uint32_t gathered_votes_ = 0;
   replica::VersionedValue best_;
-  std::vector<net::NodeId> usl_;
-  std::vector<net::NodeId> visited_;
-  std::vector<net::NodeId> unavailable_;
-  std::vector<std::int64_t> routing_costs_;
-  std::uint32_t migration_retries_ = 0;
+  Tour tour_;
   /// Epoch of the view the current tour runs under (0 = static deployment).
   /// Serialized as a trailing optional field, so a static deployment's
   /// migrations carry no byte of it.

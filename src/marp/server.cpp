@@ -25,6 +25,9 @@ std::vector<shard::GroupId> effective_groups(const std::vector<shard::GroupId>& 
 
 constexpr std::uint32_t kAnyAttempt = std::numeric_limits<std::uint32_t>::max();
 
+/// Local processing time of a LocalCopy read (read the local replica).
+constexpr sim::SimTime kLocalReadTime = sim::SimTime::micros(100);
+
 }  // namespace
 
 MarpServer::MarpServer(net::Network& network, agent::AgentPlatform& platform,
@@ -160,7 +163,7 @@ void MarpServer::submit(const replica::Request& request) {
     }
     // Paper §3.1: "a read operation may be executed on an arbitrary copy"
     // — serve the local replica after a small processing delay.
-    simulator().schedule(config_.local_read_time, [this, request] {
+    simulator().schedule(kLocalReadTime, [this, request] {
       if (!up_) return;
       replica::Outcome outcome;
       outcome.request_id = request.id;
@@ -736,6 +739,12 @@ void MarpServer::activate_view(const membership::MembershipView& next) {
   }
   // Old-epoch sessions waiting locally re-evaluate (and re-tour) sooner.
   signal_lock_changed();
+}
+
+MarpServer& server_here(agent::AgentContext& ctx) {
+  auto* server = ctx.service<MarpServer>(kMarpServiceName);
+  MARP_REQUIRE_MSG(server != nullptr, "no MARP server on this host");
+  return *server;
 }
 
 }  // namespace marp::core

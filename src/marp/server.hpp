@@ -281,4 +281,7 @@ class MarpServer : public replica::ServerBase {
   std::map<agent::AgentId, sim::SimTime> agent_activity_;
 };
 
+/// The MARP server on the host an agent callback runs at.
+MarpServer& server_here(agent::AgentContext& ctx);
+
 }  // namespace marp::core

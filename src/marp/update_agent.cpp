@@ -10,15 +10,29 @@
 
 namespace marp::core {
 
+namespace {
+
+/// UPDATE rounds (one every ack_retry_interval) a session waits for a write
+/// quorum of ACKs before it gives up — or, touring a candidate quorum,
+/// re-selects one around the silent members.
+constexpr std::uint32_t kMaxAckRounds = 20;
+/// The decided-outcome linger under reliable_commit: COMMIT or RELEASE, and
+/// the REPORT, are re-sent to whoever has not confirmed them at this cadence,
+/// for at most kMaxCommitRounds rounds.
+constexpr sim::SimTime kCommitRetryInterval = sim::SimTime::millis(100);
+constexpr std::uint32_t kMaxCommitRounds = 50;
+/// Multi-group claims only: how long a parked agent's losing view may stay
+/// unchanged — heading some group while a *younger* agent heads another —
+/// before it withdraws and re-queues, breaking a probable wait cycle (see
+/// evaluate()). Any change to that view restarts the clock, so this can
+/// sit close to defer_timeout without triggering on healthy waits.
+constexpr sim::SimTime kRequeueTimeout = sim::SimTime::millis(200);
+
+}  // namespace
+
 UpdateAgent::UpdateAgent(net::NodeId origin, std::vector<PendingWrite> writes)
     : origin_(origin), writes_(std::move(writes)) {
   MARP_REQUIRE(!writes_.empty());
-}
-
-MarpServer& UpdateAgent::server_here(agent::AgentContext& ctx) const {
-  auto* server = ctx.service<MarpServer>(kMarpServiceName);
-  MARP_REQUIRE_MSG(server != nullptr, "no MARP server on this host");
-  return *server;
 }
 
 trace::Tracer* UpdateAgent::tracer(agent::AgentContext& ctx) const {
@@ -36,11 +50,6 @@ std::vector<std::string> UpdateAgent::keys() const {
   return out;
 }
 
-bool UpdateAgent::is_unavailable(net::NodeId node) const {
-  return std::find(unavailable_.begin(), unavailable_.end(), node) !=
-         unavailable_.end();
-}
-
 const membership::Electorate& UpdateAgent::electorate(agent::AgentContext& ctx,
                                                      shard::GroupId g) const {
   return server_here(ctx).electorate(g);
@@ -55,7 +64,7 @@ bool UpdateAgent::tours_quorum(agent::AgentContext& ctx) const {
 std::optional<quorum::NodeSet> UpdateAgent::tour_set(
     agent::AgentContext& ctx, const membership::InstalledView& view) const {
   const ProtocolMutant mutant = server_here(ctx).config().mutant;
-  const quorum::NodeSet down = quorum::make_node_set(unavailable_);
+  const quorum::NodeSet down = tour_.down();
   std::vector<net::NodeId> tour;
   for (const shard::GroupId g : groups_) {
     const membership::Electorate& e = view.electorate(g);
@@ -81,23 +90,13 @@ quorum::NodeSet UpdateAgent::replicas(agent::AgentContext& ctx) const {
   return quorum::make_node_set(std::move(nodes));
 }
 
-void UpdateAgent::tour_unvisited(const quorum::NodeSet& members) {
-  usl_.clear();
-  for (const net::NodeId node : members) {
-    if (std::find(visited_.begin(), visited_.end(), node) == visited_.end()) {
-      usl_.push_back(node);
-    }
-  }
-}
-
 bool UpdateAgent::ack_quorum_reached(agent::AgentContext& ctx) const {
   // The acked set must contain a write quorum of EVERY group's electorate.
   // Acks are epoch-filtered on receipt, except under the MixedEpoch mutant,
   // which deliberately lets cross-epoch acks accumulate here.
   const ProtocolMutant mutant = server_here(ctx).config().mutant;
-  const quorum::NodeSet held(acks_.begin(), acks_.end());  // set: sorted
   return std::all_of(groups_.begin(), groups_.end(), [&](shard::GroupId g) {
-    return mutant_write_covered(electorate(ctx, g).quorum(), held, mutant);
+    return mutant_write_covered(electorate(ctx, g).quorum(), acks_, mutant);
   });
 }
 
@@ -116,13 +115,13 @@ void UpdateAgent::on_created(agent::AgentContext& ctx) {
   epoch_ = server.epoch();
   const auto tour = tour_set(ctx, server.installed());
   MARP_REQUIRE(tour.has_value());
-  usl_.assign(tour->begin(), tour->end());
+  tour_.begin(*tour);
   ctx.set_timer(server.config().visit_service_time, kTokenVisit);
   if (auto* t = tracer(ctx)) t->visit_begin(id(), ctx.here());
 }
 
 void UpdateAgent::on_arrival(agent::AgentContext& ctx) {
-  migration_retries_ = 0;
+  tour_.reset_retries();
   current_target_ = net::kInvalidNode;
   patrol_armed_ = false;  // timers died with the previous incarnation
   ctx.set_timer(server_here(ctx).config().visit_service_time, kTokenVisit);
@@ -148,7 +147,7 @@ void UpdateAgent::on_timer(agent::AgentContext& ctx, std::uint64_t token) {
         if (auto* t = tracer(ctx)) t->wait_end(id());
         phase_ = Phase::Traveling;
         current_target_ = target;
-        migration_retries_ = 0;
+        tour_.reset_retries();
         ctx.dispatch_to(target);
       } else {
         arm_patrol(ctx);
@@ -163,9 +162,8 @@ void UpdateAgent::on_timer(agent::AgentContext& ctx, std::uint64_t token) {
     case kTokenAckRetry: {
       if (phase_ != Phase::Updating) break;
       MarpServer& server = server_here(ctx);
-      const MarpConfig& config = server.config();
       const bool candidate = tours_quorum(ctx);
-      if (++ack_rounds_ > config.max_ack_rounds) {
+      if (++ack_rounds_ > kMaxAckRounds) {
         if (candidate) {
           // Candidate fallback: the silent quorum members are treated as
           // down, the attempt is withdrawn (grants released everywhere so
@@ -173,9 +171,7 @@ void UpdateAgent::on_timer(agent::AgentContext& ctx, std::uint64_t token) {
           // toured. Only when no quorum survives does the agent give up.
           if (const auto members = tour_set(ctx, server.installed())) {
             for (const net::NodeId node : *members) {
-              if (!acks_.contains(node) && !is_unavailable(node)) {
-                unavailable_.push_back(node);
-              }
+              if (!quorum::contains(acks_, node)) tour_.exclude(node);
             }
           }
           if (const auto next = tour_set(ctx, server.installed())) {
@@ -184,7 +180,7 @@ void UpdateAgent::on_timer(agent::AgentContext& ctx, std::uint64_t token) {
             server.handle_unlock_local(id(), attempt_seq_);
             acks_.clear();
             phase_ = Phase::Traveling;
-            tour_unvisited(*next);
+            tour_.retarget(*next);
             evaluate(ctx);
             break;
           }
@@ -205,8 +201,8 @@ void UpdateAgent::on_timer(agent::AgentContext& ctx, std::uint64_t token) {
       payload.epoch = epoch_;
       const serial::Bytes bytes = payload.encode();
       for (const net::NodeId node : replicas(ctx)) {
-        if (node == ctx.here() || acks_.contains(node)) continue;
-        if (candidate && is_unavailable(node)) continue;
+        if (node == ctx.here() || quorum::contains(acks_, node)) continue;
+        if (candidate && tour_.is_unavailable(node)) continue;
         ctx.send_to_node(node, kMsgUpdate, bytes);
       }
       ctx.set_timer(ack_retry_delay(ctx), kTokenAckRetry);
@@ -214,44 +210,24 @@ void UpdateAgent::on_timer(agent::AgentContext& ctx, std::uint64_t token) {
     }
     case kTokenCommitRetry: {
       if (phase_ != Phase::Committing) break;
-      MarpServer& server = server_here(ctx);
-      const MarpConfig& config = server.config();
-      if (++commit_rounds_ > config.max_commit_rounds) {
+      if (++commit_rounds_ > kMaxCommitRounds) {
         // Stragglers are down or partitioned beyond the retransmit window;
         // they catch up via recovery sync / anti-entropy. The decision
-        // itself was final the moment COMMIT first went out.
+        // itself was final the moment COMMIT or RELEASE first went out.
         if (auto* t = tracer(ctx)) t->commit_fanout_end(id());
         phase_ = Phase::Done;
         ctx.dispose();
         break;
       }
       if (auto* t = tracer(ctx)) t->retry(id(), ctx.here(), trace::kRetryCommit);
-      if (committed_) {
-        const CommitPayload commit{id(), ops_, groups_, ctx.here()};
-        const serial::Bytes bytes = commit.encode();
-        const std::size_t n = server.cluster_size();
-        for (net::NodeId node = 0; node < n; ++node) {
-          if (node == ctx.here() || commit_acks_.contains(node)) continue;
-          ctx.send_to_node(node, kMsgCommit, bytes);
-          server.protocol().note_anomaly(Anomaly::CommitRetransmit);
-        }
-      } else {
-        const ReleasePayload release{id(), groups_, ctx.here()};
-        const serial::Bytes bytes = release.encode();
-        const std::size_t n = server.cluster_size();
-        for (net::NodeId node = 0; node < n; ++node) {
-          if (node == ctx.here() || commit_acks_.contains(node)) continue;
-          ctx.send_to_node(node, kMsgRelease, bytes);
-          server.protocol().note_anomaly(Anomaly::ReleaseRetransmit);
-        }
-      }
+      send_outcome(ctx, /*retransmit=*/true);
       if (!report_acked_) {
         send_report(ctx, committed_);
-        server.protocol().note_anomaly(Anomaly::ReportRetransmit);
+        server_here(ctx).protocol().note_anomaly(Anomaly::ReportRetransmit);
       }
       maybe_finish_commit(ctx);
       if (phase_ == Phase::Committing) {
-        ctx.set_timer(config.commit_retry_interval, kTokenCommitRetry);
+        ctx.set_timer(kCommitRetryInterval, kTokenCommitRetry);
       }
       break;
     }
@@ -299,12 +275,8 @@ void UpdateAgent::do_visit(agent::AgentContext& ctx) {
     auto& best = freshest_[key];
     if (value.version > best.version) best = value;
   }
-  routing_costs_ = result.routing_costs;
-
-  if (std::find(visited_.begin(), visited_.end(), ctx.here()) == visited_.end()) {
-    visited_.push_back(ctx.here());
-  }
-  usl_.erase(std::remove(usl_.begin(), usl_.end(), ctx.here()), usl_.end());
+  tour_.price(result.routing_costs);
+  tour_.visit(ctx.here());
 
   phase_ = Phase::Traveling;
   evaluate(ctx);
@@ -360,7 +332,7 @@ void UpdateAgent::evaluate(agent::AgentContext& ctx) {
   // overlapping multi-group write-sets can wait on each other in a cycle
   // (A heads group 1 queued behind B in group 2, B the reverse). Any cycle
   // contains an agent losing to a *younger* winner; if that is us and the
-  // losing view has not budged for requeue_timeout, leave every list and
+  // losing view has not budged for kRequeueTimeout, leave every list and
   // re-queue at the tails — everyone we were blocking proceeds.
   if (losing_fingerprint != stall_fingerprint_) {
     stall_fingerprint_ = losing_fingerprint;
@@ -386,7 +358,7 @@ void UpdateAgent::evaluate(agent::AgentContext& ctx) {
   if (next != net::kInvalidNode) {
     if (auto* t = tracer(ctx)) t->wait_end(id());
     current_target_ = next;
-    migration_retries_ = 0;
+    tour_.reset_retries();
     ctx.dispatch_to(next);
     return;
   }
@@ -402,7 +374,7 @@ void UpdateAgent::evaluate(agent::AgentContext& ctx) {
   }
   if (groups_.size() > 1 && !headed.empty() && loses_to_younger) {
     const std::int64_t patience =
-        server.config().requeue_timeout.as_micros() +
+        kRequeueTimeout.as_micros() +
         static_cast<std::int64_t>(agent::AgentIdHash{}(id()) % 100'000);
     if (ctx.now().as_micros() - stall_since_us_ >= patience) {
       withdraw_and_requeue(ctx);
@@ -444,11 +416,7 @@ void UpdateAgent::withdraw_and_requeue(agent::AgentContext& ctx,
   lt_.clear();  // every queue position just became void
   defer_ = false;
   acks_.clear();
-  visited_.clear();
-  usl_.clear();
-  for (const net::NodeId node : *tour) {
-    if (!is_unavailable(node)) usl_.push_back(node);
-  }
+  tour_.restart(*tour);
   phase_ = Phase::Traveling;
   stall_since_us_ = ctx.now().as_micros();
 
@@ -464,37 +432,19 @@ void UpdateAgent::withdraw_and_requeue(agent::AgentContext& ctx,
 }
 
 net::NodeId UpdateAgent::pick_next_target(agent::AgentContext& ctx) const {
-  std::vector<net::NodeId> candidates;
-  for (net::NodeId node : usl_) {
-    if (node != ctx.here() && !is_unavailable(node)) candidates.push_back(node);
-  }
-  if (candidates.empty()) return net::kInvalidNode;
-
   const RoutingPolicy policy = server_here(ctx).config().routing;
-  switch (policy) {
-    case RoutingPolicy::CostAware: {
-      // Cheapest next hop per the routing table taken from the last server.
-      net::NodeId best = candidates.front();
-      for (net::NodeId node : candidates) {
-        const std::int64_t cost =
-            node < routing_costs_.size() ? routing_costs_[node] : 0;
-        const std::int64_t best_cost =
-            best < routing_costs_.size() ? routing_costs_[best] : 0;
-        if (cost < best_cost || (cost == best_cost && node < best)) best = node;
-      }
-      return best;
-    }
-    case RoutingPolicy::Random: {
-      // Deterministic per (agent, hop): independent of global RNG state.
-      std::uint64_t seed = agent::AgentIdHash{}(id());
-      seed ^= (visited_.size() + 1) * 0x9E3779B97F4A7C15ULL;
-      sim::Rng rng(seed);
-      return candidates[rng.bounded(candidates.size())];
-    }
-    case RoutingPolicy::ByServerId:
-      return *std::min_element(candidates.begin(), candidates.end());
+  // Cheapest next hop per the routing table taken from the last server.
+  if (policy == RoutingPolicy::CostAware) return tour_.next_hop(ctx.here());
+  const std::vector<net::NodeId> candidates = tour_.candidates(ctx.here());
+  if (candidates.empty()) return net::kInvalidNode;
+  if (policy == RoutingPolicy::Random) {
+    // Deterministic per (agent, hop): independent of global RNG state.
+    std::uint64_t seed = agent::AgentIdHash{}(id());
+    seed ^= (tour_.servers_visited() + 1) * 0x9E3779B97F4A7C15ULL;
+    sim::Rng rng(seed);
+    return candidates[rng.bounded(candidates.size())];
   }
-  return net::kInvalidNode;
+  return *std::min_element(candidates.begin(), candidates.end());  // ByServerId
 }
 
 net::NodeId UpdateAgent::pick_stalest(agent::AgentContext& ctx) const {
@@ -504,7 +454,7 @@ net::NodeId UpdateAgent::pick_stalest(agent::AgentContext& ctx) const {
   const auto members = tour_set(ctx, server_here(ctx).installed());
   if (!members) return net::kInvalidNode;
   for (const net::NodeId node : *members) {
-    if (node == ctx.here() || is_unavailable(node)) continue;
+    if (node == ctx.here() || tour_.is_unavailable(node)) continue;
     // A server is as stale as its least-recently-observed group snapshot.
     std::int64_t stamp = std::numeric_limits<std::int64_t>::max();
     for (const shard::GroupId g : groups_) {
@@ -528,13 +478,14 @@ void UpdateAgent::on_migration_failed(agent::AgentContext& ctx,
                                       net::NodeId destination) {
   MarpServer& server = server_here(ctx);
   const MarpConfig& config = server.config();
-  if (++migration_retries_ <= config.migration_retry_limit) {
+  const std::uint32_t failures = tour_.failed_dispatch();
+  if (failures <= config.migration_retry_limit) {
     if (config.migration_retry_backoff > sim::SimTime::zero()) {
       // Transient-loss mode: space the retries out exponentially so a lossy
       // (but live) link gets a chance to deliver, instead of burning every
       // retry back-to-back and declaring a healthy replica unavailable.
       current_target_ = destination;
-      const std::uint32_t shift = std::min(migration_retries_ - 1u, 16u);
+      const std::uint32_t shift = std::min(failures - 1u, 16u);
       const sim::SimTime delay =
           sim::SimTime::micros(config.migration_retry_backoff.as_micros() << shift);
       if (auto* t = tracer(ctx)) {
@@ -552,15 +503,14 @@ void UpdateAgent::on_migration_failed(agent::AgentContext& ctx,
   }
   // §2: after repeated failures, declare the replica unavailable and do not
   // attempt to visit it again this round.
-  unavailable_.push_back(destination);
-  usl_.erase(std::remove(usl_.begin(), usl_.end(), destination), usl_.end());
-  migration_retries_ = 0;
+  tour_.drop(destination);
+  tour_.reset_retries();
   current_target_ = net::kInvalidNode;
 
   // Give up only when some group's quorum cannot survive the unavailable
   // servers — consistency requires that rather than writing a minority;
   // otherwise the remaining copies still intersect everything.
-  const quorum::NodeSet down = quorum::make_node_set(unavailable_);
+  const quorum::NodeSet down = tour_.down();
   for (const shard::GroupId g : groups_) {
     if (!mutant_pick_write_quorum(electorate(ctx, g).quorum(), down, origin_,
                                   config.mutant)) {
@@ -572,7 +522,7 @@ void UpdateAgent::on_migration_failed(agent::AgentContext& ctx,
     // A candidate-quorum member is unreachable: fall back to a quorum that
     // avoids every unavailable server.
     server.protocol().note_quorum_reselection();
-    tour_unvisited(*tour_set(ctx, server.installed()));
+    tour_.retarget(*tour_set(ctx, server.installed()));
   }
   evaluate(ctx);
 }
@@ -652,8 +602,7 @@ void UpdateAgent::begin_update(agent::AgentContext& ctx) {
     if (node != ctx.here()) ctx.send_to_node(node, kMsgUpdate, bytes);
   }
 
-  acks_.clear();
-  acks_.insert(ctx.here());
+  acks_ = {ctx.here()};
   ack_floor_ = server.applied_high();
   ack_rounds_ = 0;
   if (ack_quorum_reached(ctx)) {
@@ -689,7 +638,7 @@ void UpdateAgent::on_message(agent::AgentContext& ctx, net::MessageType type,
   }
   if (type == kMsgCommitAck) {
     if (phase_ != Phase::Committing) return;
-    commit_acks_.insert(CommitAckPayload::decode(payload).server);
+    quorum::insert(commit_acks_, CommitAckPayload::decode(payload).server);
     maybe_finish_commit(ctx);
     return;
   }
@@ -720,7 +669,7 @@ void UpdateAgent::on_message(agent::AgentContext& ctx, net::MessageType type,
       server_here(ctx).protocol().note_anomaly(Anomaly::EpochStaleAck);
       return;
     }
-    acks_.insert(ack.server);
+    quorum::insert(acks_, ack.server);
     if (ack.applied_high > ack_floor_) ack_floor_ = ack.applied_high;
     if (ack_quorum_reached(ctx)) {
       finish_update(ctx);
@@ -802,73 +751,73 @@ void UpdateAgent::finish_update(agent::AgentContext& ctx) {
     t->update_round_end(id(), /*outcome=*/0);
     t->commit_fanout_begin(id(), ctx.here(), /*commit=*/true);
   }
-  const bool reliable = server.config().reliable_commit;
-  const CommitPayload commit{id(), ops_, groups_,
-                             reliable ? ctx.here() : net::kInvalidNode};
-  ctx.broadcast(kMsgCommit, commit.encode());
-  server.handle_commit_local(commit);
-  server.protocol().note_update_commit(id(), ops_, ctx.here());
-  if (!reliable) {
-    // Fire-and-forget (the paper's Algorithm 1): a COMMIT copy lost on the
-    // wire is only repaired by recovery sync / anti-entropy.
-    if (auto* t = tracer(ctx)) t->commit_fanout_end(id());
-    phase_ = Phase::Done;
-    send_report(ctx, /*success=*/true);
-    ctx.dispose();
-    return;
-  }
-  // The decision is final; linger in Committing re-sending COMMIT/REPORT
-  // until every reachable server and the origin confirmed, so a dropped
-  // COMMIT cannot leave the update half-applied.
-  phase_ = Phase::Committing;
-  committed_ = true;
-  commit_acks_.clear();
-  commit_acks_.insert(ctx.here());
-  commit_rounds_ = 0;
-  report_acked_ = false;
-  send_report(ctx, /*success=*/true);
-  maybe_finish_commit(ctx);
-  if (phase_ == Phase::Committing) {
-    ctx.set_timer(server.config().commit_retry_interval, kTokenCommitRetry);
-  }
+  conclude(ctx, /*commit=*/true);
 }
 
 void UpdateAgent::abort(agent::AgentContext& ctx) {
-  MarpServer& server = server_here(ctx);
-  server.protocol().note_update_abort(id(), ctx.here());
+  server_here(ctx).protocol().note_update_abort(id(), ctx.here());
   if (auto* t = tracer(ctx)) {
     t->wait_end(id());
     t->update_round_end(id(), /*outcome=*/2);
     t->abort_mark(id(), ctx.here());
     t->commit_fanout_begin(id(), ctx.here(), /*commit=*/false);
   }
+  conclude(ctx, /*commit=*/false);
+}
+
+void UpdateAgent::conclude(agent::AgentContext& ctx, bool commit) {
+  MarpServer& server = server_here(ctx);
   const bool reliable = server.config().reliable_commit;
-  const ReleasePayload release{id(), groups_,
-                               reliable ? ctx.here() : net::kInvalidNode};
-  ctx.broadcast(kMsgRelease, release.encode());
-  server.handle_release_local(release);
+  const net::NodeId reply_to = reliable ? ctx.here() : net::kInvalidNode;
+  committed_ = commit;
+  commit_acks_ = {ctx.here()};
+  send_outcome(ctx, /*retransmit=*/false);
+  if (commit) {
+    server.handle_commit_local(CommitPayload{id(), ops_, groups_, reply_to});
+    server.protocol().note_update_commit(id(), ops_, ctx.here());
+  } else {
+    server.handle_release_local(ReleasePayload{id(), groups_, reply_to});
+  }
   if (!reliable) {
+    // Fire-and-forget (the paper's Algorithm 1): a COMMIT or RELEASE copy
+    // lost on the wire is only repaired by recovery sync / anti-entropy.
     if (auto* t = tracer(ctx)) t->commit_fanout_end(id());
     phase_ = Phase::Done;
-    send_report(ctx, /*success=*/false);
+    send_report(ctx, commit);
     ctx.dispose();
     return;
   }
-  // A lost RELEASE is as fatal as a lost COMMIT: the aborter never enters
-  // any Updated List, so filtered heads can never skip its dead LL entry,
-  // and the stuck grant wedges the server for good. Linger exactly like
-  // the commit path — retransmit RELEASE to silent servers and the failure
-  // REPORT to the origin until both are covered.
+  // The decision is final; linger in Committing re-sending the outcome and
+  // the REPORT until every reachable server and the origin confirmed. A
+  // dropped COMMIT would leave the update half-applied; a dropped RELEASE
+  // is as fatal, since the aborter never enters any Updated List, so
+  // filtered heads can never skip its dead LL entry and its stuck grant
+  // wedges the server for good.
   phase_ = Phase::Committing;
-  committed_ = false;
-  commit_acks_.clear();
-  commit_acks_.insert(ctx.here());
   commit_rounds_ = 0;
   report_acked_ = false;
-  send_report(ctx, /*success=*/false);
+  send_report(ctx, commit);
   maybe_finish_commit(ctx);
   if (phase_ == Phase::Committing) {
-    ctx.set_timer(server.config().commit_retry_interval, kTokenCommitRetry);
+    ctx.set_timer(kCommitRetryInterval, kTokenCommitRetry);
+  }
+}
+
+void UpdateAgent::send_outcome(agent::AgentContext& ctx, bool retransmit) const {
+  MarpServer& server = server_here(ctx);
+  const net::NodeId reply_to =
+      server.config().reliable_commit ? ctx.here() : net::kInvalidNode;
+  const net::MessageType type = committed_ ? kMsgCommit : kMsgRelease;
+  const serial::Bytes bytes =
+      committed_ ? CommitPayload{id(), ops_, groups_, reply_to}.encode()
+                 : ReleasePayload{id(), groups_, reply_to}.encode();
+  const Anomaly counted =
+      committed_ ? Anomaly::CommitRetransmit : Anomaly::ReleaseRetransmit;
+  const std::size_t n = server.cluster_size();
+  for (net::NodeId node = 0; node < n; ++node) {
+    if (quorum::contains(commit_acks_, node)) continue;
+    ctx.send_to_node(node, type, bytes);
+    if (retransmit) server.protocol().note_anomaly(counted);
   }
 }
 
@@ -895,12 +844,11 @@ void UpdateAgent::maybe_finish_commit(agent::AgentContext& ctx) {
   if (phase_ != Phase::Committing || !report_acked_) return;
   // Full ack coverage, commit and abort alike — and no unavailable-node
   // exemption: a node marked unreachable mid-tour may be back within the
-  // retransmit window (the linger is bounded by max_commit_rounds either
+  // retransmit window (the linger is bounded by kMaxCommitRounds either
   // way, and genuinely dead servers are repaired by recovery sync).
   const std::size_t n = server_here(ctx).cluster_size();
   for (net::NodeId node = 0; node < n; ++node) {
-    if (commit_acks_.contains(node)) continue;
-    return;  // a server has not confirmed the COMMIT/RELEASE yet
+    if (!quorum::contains(commit_acks_, node)) return;  // not confirmed yet
   }
   if (auto* t = tracer(ctx)) t->commit_fanout_end(id());
   phase_ = Phase::Done;
@@ -931,34 +879,22 @@ void UpdateAgent::serialize(serial::Writer& w) const {
   w.u8(static_cast<std::uint8_t>(phase_));
   w.svarint(dispatched_us_);
   w.svarint(lock_obtained_us_);
-  auto write_nodes = [](serial::Writer& ww, const std::vector<net::NodeId>& nodes) {
-    ww.varint(nodes.size());
-    for (net::NodeId node : nodes) ww.varint(node);
-  };
-  write_nodes(w, usl_);
-  write_nodes(w, visited_);
-  write_nodes(w, unavailable_);
-  w.varint(groups_.size());
-  for (const shard::GroupId g : groups_) w.varint(g);
+  tour_.serialize(w);
+  wire_detail::write_ids(w, groups_);
   serialize_group_lock_table(w, lt_);
   ual_.serialize(w);
-  w.varint(freshest_.size());
-  for (const auto& [key, value] : freshest_) {
-    w.str(key);
-    w.str(value.value);
-    value.version.serialize(w);
-  }
-  w.varint(routing_costs_.size());
-  for (std::int64_t cost : routing_costs_) w.svarint(cost);
+  w.map(
+      freshest_, [](serial::Writer& ww, const std::string& key) { ww.str(key); },
+      [](serial::Writer& ww, const replica::VersionedValue& value) {
+        ww.str(value.value);
+        value.version.serialize(ww);
+      });
   w.varint(current_target_);
-  w.varint(migration_retries_);
   w.seq(ops_, [](serial::Writer& ww, const WriteOp& op) { op.serialize(ww); });
-  w.varint(acks_.size());
-  for (net::NodeId node : acks_) w.varint(node);
+  wire_detail::write_ids(w, acks_);
   w.varint(ack_rounds_);
   w.boolean(committed_);
-  w.varint(commit_acks_.size());
-  for (net::NodeId node : commit_acks_) w.varint(node);
+  wire_detail::write_ids(w, commit_acks_);
   w.varint(commit_rounds_);
   w.boolean(report_acked_);
   w.boolean(defer_);
@@ -981,55 +917,31 @@ void UpdateAgent::deserialize(serial::Reader& r) {
     write.value = rr.str();
     return write;
   });
-  phase_ = static_cast<Phase>(r.u8());
+  const std::uint8_t phase = r.u8();
+  if (phase > static_cast<std::uint8_t>(Phase::Committing)) {
+    throw serial::MalformedError("unknown update agent phase");
+  }
+  phase_ = static_cast<Phase>(phase);
   dispatched_us_ = r.svarint();
   lock_obtained_us_ = r.svarint();
-  auto read_nodes = [](serial::Reader& rr) {
-    const std::uint64_t n = rr.length_prefix();
-    std::vector<net::NodeId> nodes;
-    nodes.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      nodes.push_back(static_cast<net::NodeId>(rr.varint()));
-    }
-    return nodes;
-  };
-  usl_ = read_nodes(r);
-  visited_ = read_nodes(r);
-  unavailable_ = read_nodes(r);
-  groups_.clear();
-  const std::uint64_t group_count = r.varint();
-  for (std::uint64_t i = 0; i < group_count; ++i) {
-    groups_.push_back(static_cast<shard::GroupId>(r.varint()));
-  }
+  tour_ = Tour::deserialize(r);
+  groups_ = wire_detail::read_ids<shard::GroupId>(r);
   lt_ = deserialize_group_lock_table(r);
   ual_ = DoneSet::deserialize(r);
-  freshest_.clear();
-  const std::uint64_t fresh_size = r.varint();
-  for (std::uint64_t i = 0; i < fresh_size; ++i) {
-    std::string key = r.str();
-    replica::VersionedValue value;
-    value.value = r.str();
-    value.version = replica::Version::deserialize(r);
-    freshest_.emplace(std::move(key), std::move(value));
-  }
-  routing_costs_.clear();
-  const std::uint64_t cost_size = r.varint();
-  for (std::uint64_t i = 0; i < cost_size; ++i) routing_costs_.push_back(r.svarint());
+  freshest_ = r.map<std::string, replica::VersionedValue>(
+      [](serial::Reader& rr) { return rr.str(); },
+      [](serial::Reader& rr) {
+        replica::VersionedValue value;
+        value.value = rr.str();
+        value.version = replica::Version::deserialize(rr);
+        return value;
+      });
   current_target_ = static_cast<net::NodeId>(r.varint());
-  migration_retries_ = static_cast<std::uint32_t>(r.varint());
   ops_ = r.seq<WriteOp>([](serial::Reader& rr) { return WriteOp::deserialize(rr); });
-  acks_.clear();
-  const std::uint64_t ack_size = r.varint();
-  for (std::uint64_t i = 0; i < ack_size; ++i) {
-    acks_.insert(static_cast<net::NodeId>(r.varint()));
-  }
+  acks_ = quorum::make_node_set(wire_detail::read_ids<net::NodeId>(r));
   ack_rounds_ = static_cast<std::uint32_t>(r.varint());
   committed_ = r.boolean();
-  commit_acks_.clear();
-  const std::uint64_t commit_ack_size = r.varint();
-  for (std::uint64_t i = 0; i < commit_ack_size; ++i) {
-    commit_acks_.insert(static_cast<net::NodeId>(r.varint()));
-  }
+  commit_acks_ = quorum::make_node_set(wire_detail::read_ids<net::NodeId>(r));
   commit_rounds_ = static_cast<std::uint32_t>(r.varint());
   report_acked_ = r.boolean();
   defer_ = r.boolean();

@@ -12,12 +12,12 @@
 
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "agent/agent.hpp"
 #include "marp/priority.hpp"
+#include "marp/tour.hpp"
 #include "marp/wire.hpp"
 #include "membership/electorate.hpp"
 #include "replica/versioned_store.hpp"
@@ -46,10 +46,10 @@ class UpdateAgent final : public agent::MobileAgent {
     Waiting = 1,    ///< USL exhausted, not highest priority — parked
     Updating = 2,   ///< winner: UPDATE broadcast out, gathering acks
     Done = 3,
-    /// Decision made (COMMIT broadcast / abort released): lingering only to
-    /// retransmit COMMIT to unacked servers and REPORT to the origin until
-    /// both are covered or max_commit_rounds expires. The outcome is final —
-    /// this phase exists so transient loss cannot half-apply a commit.
+    /// Decision made (COMMIT or RELEASE sent): lingering only to retransmit
+    /// the outcome to unacked servers and REPORT to the origin until both
+    /// are covered or the linger's round budget expires. The outcome is
+    /// final — this phase exists so transient loss cannot half-apply it.
     Committing = 4
   };
 
@@ -74,9 +74,7 @@ class UpdateAgent final : public agent::MobileAgent {
   const GroupLockTable& lock_tables() const noexcept { return lt_; }
   const std::vector<shard::GroupId>& lock_groups() const noexcept { return groups_; }
   const DoneSet& updated_agents() const noexcept { return ual_; }
-  std::uint32_t servers_visited() const noexcept {
-    return static_cast<std::uint32_t>(visited_.size());
-  }
+  std::uint32_t servers_visited() const noexcept { return tour_.servers_visited(); }
 
  private:
   static constexpr std::uint64_t kTokenVisit = 1;
@@ -88,7 +86,6 @@ class UpdateAgent final : public agent::MobileAgent {
 
   void arm_patrol(agent::AgentContext& ctx);
 
-  MarpServer& server_here(agent::AgentContext& ctx) const;
   /// The installed execution tracer, or nullptr (one pointer chase; every
   /// hook site is guarded so untraced runs pay a single branch).
   trace::Tracer* tracer(agent::AgentContext& ctx) const;
@@ -109,9 +106,15 @@ class UpdateAgent final : public agent::MobileAgent {
               bool broadcast_unlock);
   void finish_update(agent::AgentContext& ctx);
   void abort(agent::AgentContext& ctx);
+  /// The outcome tail of commit and abort alike: fan COMMIT or RELEASE out,
+  /// apply it here, then report and dispose, or linger (reliable_commit).
+  void conclude(agent::AgentContext& ctx, bool commit);
+  /// Send the outcome to every server not in commit_acks_ (a retransmit is
+  /// counted as an anomaly).
+  void send_outcome(agent::AgentContext& ctx, bool retransmit) const;
   void send_report(agent::AgentContext& ctx, bool success);
-  /// Dispose once the COMMIT (when one went out) reached every reachable
-  /// server and the origin acked the REPORT.
+  /// Dispose once every server confirmed the outcome and the origin acked
+  /// the REPORT.
   void maybe_finish_commit(agent::AgentContext& ctx);
 
   /// Delay before the next UPDATE retransmit round: the configured interval,
@@ -130,18 +133,15 @@ class UpdateAgent final : public agent::MobileAgent {
   bool tours_quorum(agent::AgentContext& ctx) const;
   /// The servers this session tours and sends its first UPDATE to under
   /// `view`, ascending: per lock group, a candidate write quorum picked
-  /// around unavailable_ (preferring the origin) where the electorate tours
-  /// one, every replica otherwise. Recomputed on demand from state that is
-  /// already serialized, so the migrating byte size — and with it the
+  /// around the unavailable servers (preferring the origin) where the
+  /// electorate tours one, every replica otherwise. Recomputed on demand from
+  /// state that is already serialized, so the migrating byte size — and the
   /// bandwidth-model virtual time — is untouched. nullopt = some group's
   /// quorum does not survive the unavailable servers.
   std::optional<quorum::NodeSet> tour_set(
       agent::AgentContext& ctx, const membership::InstalledView& view) const;
   /// Every replica of this session's groups under the installed view.
   quorum::NodeSet replicas(agent::AgentContext& ctx) const;
-  /// Make the USL the part of `members` not visited yet (a re-selected
-  /// candidate quorum).
-  void tour_unvisited(const quorum::NodeSet& members);
   /// Whether the acks gathered so far cover a write quorum of every group.
   bool ack_quorum_reached(agent::AgentContext& ctx) const;
 
@@ -150,38 +150,31 @@ class UpdateAgent final : public agent::MobileAgent {
   /// Known server with the oldest LT stamp (patrol target).
   net::NodeId pick_stalest(agent::AgentContext& ctx) const;
 
-  bool is_unavailable(net::NodeId node) const;
-
   // --- migrating state (all serialized) ---
   net::NodeId origin_ = net::kInvalidNode;
   std::vector<PendingWrite> writes_;
   Phase phase_ = Phase::Traveling;
   std::int64_t dispatched_us_ = 0;
   std::int64_t lock_obtained_us_ = 0;
-  std::vector<net::NodeId> usl_;          ///< Un-visited Servers List (§3.2)
-  std::vector<net::NodeId> visited_;      ///< servers where a lock was requested
-  std::vector<net::NodeId> unavailable_;  ///< declared failed this round (§2)
+  Tour tour_;  ///< USL, visited and unavailable servers, routing costs
   /// Lock groups the write-set routes to, ascending (set at creation — the
   /// acquisition order that keeps multi-group claims deadlock-free).
   std::vector<shard::GroupId> groups_;
   GroupLockTable lt_;                     ///< per-group Locking Tables (§3.2)
   DoneSet ual_;                           ///< Updated Agents List (§3.2)
   std::map<std::string, replica::VersionedValue> freshest_;
-  std::vector<std::int64_t> routing_costs_;  ///< from the last visited server
   net::NodeId current_target_ = net::kInvalidNode;
-  std::uint32_t migration_retries_ = 0;
   std::vector<WriteOp> ops_;              ///< built at begin_update
-  std::set<net::NodeId> acks_;
+  quorum::NodeSet acks_;
   std::uint32_t ack_rounds_ = 0;
   /// Max applied_high over this attempt's ACKs (incl. the local grant).
   /// Never serialized: the agent re-enters Updating after any migration.
   replica::Version ack_floor_;
-  /// Committing-phase linger state: whether a COMMIT went out (false for an
-  /// abort, which only lingers for the report ack), which servers confirmed
-  /// it, how many retransmit rounds have elapsed, and whether the origin
-  /// acknowledged the REPORT.
+  /// Committing-phase linger state: whether the outcome is a COMMIT (false:
+  /// a RELEASE), which servers confirmed it, how many retransmit rounds have
+  /// elapsed, and whether the origin acknowledged the REPORT.
   bool committed_ = false;
-  std::set<net::NodeId> commit_acks_;
+  quorum::NodeSet commit_acks_;
   std::uint32_t commit_rounds_ = 0;
   bool report_acked_ = false;
   /// Set after losing an ack race to a smaller-id (higher-priority) holder:
@@ -195,7 +188,7 @@ class UpdateAgent final : public agent::MobileAgent {
   std::uint32_t attempt_seq_ = 0;
   /// Cross-group stall detection (multi-group claims only): when the set of
   /// per-group winners this agent is losing to last changed, and its
-  /// fingerprint. An unchanged losing view for `requeue_timeout` — while
+  /// fingerprint. An unchanged losing view for kRequeueTimeout — while
   /// heading some group and losing another to a younger agent — means a
   /// probable wait cycle, answered by withdraw_and_requeue().
   std::int64_t stall_since_us_ = 0;

@@ -15,18 +15,15 @@
 namespace marp::core {
 
 namespace wire_detail {
-inline void write_groups(serial::Writer& w, const std::vector<shard::GroupId>& groups) {
-  w.varint(groups.size());
-  for (const shard::GroupId g : groups) w.varint(g);
+/// A list of small unsigned ids (servers, lock groups): a count, then one
+/// varint per id.
+template <typename Id>
+void write_ids(serial::Writer& w, const std::vector<Id>& ids) {
+  w.seq(ids, [](serial::Writer& ww, Id id) { ww.varint(id); });
 }
-inline std::vector<shard::GroupId> read_groups(serial::Reader& r) {
-  const std::uint64_t n = r.length_prefix();
-  std::vector<shard::GroupId> groups;
-  groups.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    groups.push_back(static_cast<shard::GroupId>(r.varint()));
-  }
-  return groups;
+template <typename Id>
+std::vector<Id> read_ids(serial::Reader& r) {
+  return r.seq<Id>([](serial::Reader& rr) { return static_cast<Id>(rr.varint()); });
 }
 }  // namespace wire_detail
 
@@ -113,7 +110,7 @@ struct UpdatePayload {
     w.varint(reply_to);
     w.varint(attempt);
     w.seq(ops, [](serial::Writer& ww, const WriteOp& op) { op.serialize(ww); });
-    wire_detail::write_groups(w, groups);
+    wire_detail::write_ids(w, groups);
     if (epoch != 0) w.varint(epoch);
     return w.take();
   }
@@ -124,7 +121,7 @@ struct UpdatePayload {
     p.reply_to = static_cast<net::NodeId>(r.varint());
     p.attempt = static_cast<std::uint32_t>(r.varint());
     p.ops = r.seq<WriteOp>([](serial::Reader& rr) { return WriteOp::deserialize(rr); });
-    p.groups = wire_detail::read_groups(r);
+    p.groups = wire_detail::read_ids<shard::GroupId>(r);
     if (!r.at_end()) p.epoch = r.varint();
     return p;
   }
@@ -189,7 +186,7 @@ struct CommitPayload {
     serial::Writer w;
     agent.serialize(w);
     w.seq(ops, [](serial::Writer& ww, const WriteOp& op) { op.serialize(ww); });
-    wire_detail::write_groups(w, groups);
+    wire_detail::write_ids(w, groups);
     w.varint(reply_to);
     if (epoch != 0) w.varint(epoch);
     return w.take();
@@ -199,7 +196,7 @@ struct CommitPayload {
     CommitPayload p;
     p.agent = agent::AgentId::deserialize(r);
     p.ops = r.seq<WriteOp>([](serial::Reader& rr) { return WriteOp::deserialize(rr); });
-    p.groups = wire_detail::read_groups(r);
+    p.groups = wire_detail::read_ids<shard::GroupId>(r);
     p.reply_to = static_cast<net::NodeId>(r.varint());
     if (!r.at_end()) p.epoch = r.varint();
     return p;
@@ -259,7 +256,7 @@ struct ReleasePayload {
   serial::Bytes encode() const {
     serial::Writer w;
     agent.serialize(w);
-    wire_detail::write_groups(w, groups);
+    wire_detail::write_ids(w, groups);
     w.varint(reply_to);
     return w.take();
   }
@@ -267,7 +264,7 @@ struct ReleasePayload {
     serial::Reader r(bytes);
     ReleasePayload p;
     p.agent = agent::AgentId::deserialize(r);
-    p.groups = wire_detail::read_groups(r);
+    p.groups = wire_detail::read_ids<shard::GroupId>(r);
     p.reply_to = static_cast<net::NodeId>(r.varint());
     return p;
   }

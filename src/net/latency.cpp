@@ -1,6 +1,7 @@
 #include "net/latency.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/assert.hpp"
 
@@ -51,6 +52,19 @@ std::int64_t median_of(std::vector<std::int64_t> v) {
   if (v.empty()) return -1;
   std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
   return v[v.size() / 2];
+}
+
+/// LinkReport::below_share as draw() samples `q`: a segment starting below
+/// the target q[size/2] ends at or below it (the table ascends), and a draw
+/// clamped up to 1 us is never below a target of 1 us or less.
+double share_below_target(const std::vector<std::int64_t>& q) {
+  if (q.size() < 2 || q[q.size() / 2] <= 1) return 0.0;
+  const std::int64_t target = q[q.size() / 2];
+  std::size_t below = 0;
+  for (std::size_t i = 0; i + 1 < q.size(); ++i) {
+    if (q[i] < target) ++below;
+  }
+  return static_cast<double>(below) / static_cast<double>(q.size() - 1);
 }
 
 }  // namespace
@@ -127,9 +141,21 @@ std::vector<CalibratedLatency::LinkReport> CalibratedLatency::report() const {
     for (const std::int64_t us : links_[i].drawn_us) {
       if (us < r.target_p50_us) ++r.below_target;
     }
+    r.below_share = share_below_target(links_[i].quantiles_us);
     out.push_back(r);
   }
   return out;
+}
+
+bool calibration_closed(const CalibratedLatency::LinkReport& link) {
+  const double target = static_cast<double>(link.target_p50_us);
+  const double abs_err = std::abs(static_cast<double>(link.sampled_p50_us) - target);
+  if (target == 0 || 10.0 * abs_err <= target) return true;  // the 10% band
+  if (target < 100 && abs_err <= 10) return true;             // the 10 us band
+  const double n = static_cast<double>(link.samples);
+  const double p = link.below_share;
+  return std::abs(static_cast<double>(link.below_target) - n * p) <=
+         3.0 * std::sqrt(n * p * (1.0 - p));
 }
 
 }  // namespace marp::net

@@ -142,10 +142,15 @@ class CalibratedLatency final : public LatencyModel {
     std::int64_t target_p50_us = 0;   ///< median of the calibration table
     std::int64_t sampled_p50_us = 0;  ///< median of this run's draws
     /// Draws strictly below the target median. If the model reproduces the
-    /// table, this is Binomial(samples, 1/2) — the distribution-free check
-    /// the closure gate falls back on where the quantile ramp around the
-    /// median is too steep for a point comparison at this sample size.
+    /// table, this is Binomial(samples, below_share) — the check the
+    /// closure gate falls back on where the quantile ramp around the median
+    /// is too steep for a point comparison at this sample size.
     std::uint64_t below_target = 0;
+    /// Probability that one draw lands below the target: #{i : q[i] <
+    /// target} / (size − 1), since a draw picks one of the size − 1
+    /// interpolation segments uniformly. Above 1/2 for an even size, and
+    /// moved by any plateau or step at the target.
+    double below_share = 0.0;
   };
   std::vector<LinkReport> report() const;
 
@@ -164,5 +169,12 @@ class CalibratedLatency final : public LatencyModel {
   std::vector<std::int64_t> fallback_quantiles_;
   Link fallback_;
 };
+
+/// The closure gate for one measured link (marp_sim --calibration-check):
+/// the sampled median within 10% of the target, or within 10 us of a
+/// sub-100 us target (microsecond tables step by more than 10%), or else
+/// the draws below the target within 3 sigma of Binomial(samples,
+/// below_share) — a test a shifted model fails more surely as n grows.
+bool calibration_closed(const CalibratedLatency::LinkReport& link);
 
 }  // namespace marp::net

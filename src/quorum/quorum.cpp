@@ -37,6 +37,11 @@ bool contains(const NodeSet& sorted, net::NodeId node) {
   return std::binary_search(sorted.begin(), sorted.end(), node);
 }
 
+void insert(NodeSet& sorted, net::NodeId node) {
+  const auto it = std::lower_bound(sorted.begin(), sorted.end(), node);
+  if (it == sorted.end() || *it != node) sorted.insert(it, node);
+}
+
 NodeSet make_node_set(std::vector<net::NodeId> nodes) {
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());

@@ -46,6 +46,9 @@ using NodeSet = std::vector<net::NodeId>;
 /// Sorted-set membership test.
 bool contains(const NodeSet& sorted, net::NodeId node);
 
+/// Add `node` to a NodeSet, keeping it sorted and duplicate-free.
+void insert(NodeSet& sorted, net::NodeId node);
+
 /// Normalize an arbitrary id list into a NodeSet.
 NodeSet make_node_set(std::vector<net::NodeId> nodes);
 

@@ -94,6 +94,56 @@ TEST(ChaosFaults, PartitionAtQuorumHealsToConvergence) {
   stack.expect_converged("survives-the-cut");
 }
 
+// The abort mirror of the test above. Three of five servers are down, so
+// the session visits the two live ones (queuing in both Locking Lists) and
+// then aborts: no write quorum survives. The injector cuts the aborter off
+// at the UpdateAbort phase event, before its RELEASE leaves, so the copy to
+// the other live server is lost. The lingering agent must re-send RELEASE
+// after the heal; without it the dead entry would head that server's
+// Locking List for good.
+TEST(ChaosFaults, PartitionAtAbortRetransmitsRelease) {
+  core::MarpConfig config;
+  config.reliable_commit = true;
+  MarpStack stack(5, config);
+
+  fault::FaultPlan plan;
+  for (const net::NodeId node : {2u, 3u, 4u}) {
+    fault::Action crash;
+    crash.kind = fault::ActionKind::CrashServer;
+    crash.node = node;
+    plan.actions.push_back(crash);
+  }
+  fault::Action cut;
+  cut.kind = fault::ActionKind::Partition;
+  cut.on_phase = fault::PhaseTrigger{core::ProtocolPhase::UpdateAbort, 1};
+  cut.auto_group_size = 1;  // the aborter alone
+  cut.heal_after = 400_ms;  // well inside the linger's retransmit window
+  plan.actions.push_back(cut);
+
+  fault::FaultInjector injector(stack.network, stack.platform, stack.protocol,
+                                plan);
+  injector.arm();
+
+  stack.submit_write(1, 0, "never-commits");
+  stack.simulator.run(30_s);
+
+  EXPECT_EQ(injector.stats().phase_triggers_fired, 1u);
+  EXPECT_EQ(injector.stats().partitions, 1u);
+  EXPECT_EQ(injector.stats().heals, 1u);
+  EXPECT_EQ(stack.protocol.stats().updates_aborted, 1u);
+  ASSERT_EQ(stack.trace.outcomes().size(), 1u);
+  EXPECT_FALSE(stack.trace.outcomes()[0].success);
+  // The RELEASE copies the partition swallowed had to be re-sent.
+  EXPECT_GT(stack.protocol.stats().anomalies.release_retransmits, 0u);
+  for (net::NodeId node = 0; node < stack.network.size(); ++node) {
+    const core::MarpServer& server = stack.protocol.server(node);
+    EXPECT_TRUE(server.locking_list(0).empty()) << "node " << node;
+    EXPECT_FALSE(server.update_holder(0).has_value()) << "node " << node;
+    EXPECT_TRUE(stack.platform.host(node).resident_agents().empty())
+        << "node " << node;
+  }
+}
+
 // Satellite: a duplicated COMMIT (re-delivered copy, retransmit overlap)
 // re-applies under the Thomas write rule — same value, same version, no
 // double bump — and is counted, not silently absorbed.

@@ -4,13 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "marp/protocol.hpp"
+#include "marp/read_agent.hpp"
 #include "marp/update_agent.hpp"
 #include "net/latency.hpp"
 #include "net/topology.hpp"
+#include "rpc/frame.hpp"
 #include "runner/consistency.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "transport/transport.hpp"
 #include "workload/trace.hpp"
 
 namespace marp::core {
@@ -321,6 +327,125 @@ TEST(Marp, LoadedUpdateAgentsSurviveTheFrameCodec) {
   stack.simulator.run();
   EXPECT_GE(captured, 20u);
   EXPECT_GE(largest_ual, 20u);
+}
+
+/// Whether `frame` decodes or is rejected with serial::DecodeError; any
+/// other exception is a hole a damaged frame could reach (reported).
+bool decodes_or_rejects(const agent::AgentPlatform& platform,
+                        const serial::Bytes& frame, const std::string& what) {
+  try {
+    platform.decode_frame(frame);
+  } catch (const serial::DecodeError&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": " << e.what();
+    return false;
+  }
+  return true;
+}
+
+/// Records the agent frames the platform ships to remote nodes (the real
+/// substrate's migrations) and drops every message.
+class FrameRecorder final : public transport::Transport {
+ public:
+  bool send_message(const net::Message&) override { return true; }
+  bool send_agent_frame(net::NodeId, const serial::Bytes& body,
+                        std::uint64_t) override {
+    frames.push_back(rpc::decode_transfer_body(body).frame);
+    return true;
+  }
+  bool send_agent_ack(net::NodeId, std::uint64_t) override { return true; }
+  bool reachable(net::NodeId) override { return true; }
+  transport::TransportStats stats() const override { return {}; }
+
+  std::vector<serial::Bytes> frames;
+};
+
+TEST(Marp, DamagedAgentFramesAreDecodeErrors) {
+  // Update agents caught mid-tour with populated UALs and Locking Tables,
+  // and read agents as node 0 ships them to remote nodes: part-way through
+  // a read quorum, and — as transfers go unacked and revive — with more
+  // and more servers declared unavailable. Every truncation of each frame
+  // and a few hundred seeded single-byte flips must decode or throw
+  // DecodeError, never anything else.
+  MarpConfig config;
+  config.num_lock_groups = 4;
+  Stack stack(7, config);
+  std::vector<serial::Bytes> update_frames;
+  for (std::uint64_t i = 1; update_frames.size() < 12; ++i) {
+    ASSERT_LE(i, 300u);
+    const auto origin = static_cast<net::NodeId>(i % 7);
+    stack.protocol.submit(stack.write(i, origin, "v" + std::to_string(i),
+                                      "key" + std::to_string(i % 11)));
+    stack.simulator.run(stack.simulator.now() + 3_ms);
+    for (net::NodeId node = 0; node < 7; ++node) {
+      for (const agent::MobileAgent* resident :
+           stack.platform.host(node).resident_agents()) {
+        const auto* agent = dynamic_cast<const UpdateAgent*>(resident);
+        if (agent != nullptr && !agent->updated_agents().empty() &&
+            !agent->lock_tables().empty() && update_frames.size() < 12) {
+          update_frames.push_back(stack.platform.encode_frame(*agent));
+        }
+      }
+    }
+  }
+
+  MarpConfig read_config;
+  read_config.read_mode = ReadMode::QuorumAgent;
+  Stack reads(7, read_config);
+  FrameRecorder recorder;
+  reads.network.attach_transport(&recorder, 0);
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    reads.protocol.submit(reads.read(i, 0, "key" + std::to_string(i)));
+  }
+  reads.simulator.run();
+  reads.network.attach_transport(nullptr, net::kInvalidNode);
+  ASSERT_GE(recorder.frames.size(), 24u);
+  std::vector<serial::Bytes> frames = update_frames;
+  const std::size_t stride = recorder.frames.size() / 12;
+  for (std::size_t k = 0; k < 12; ++k) frames.push_back(recorder.frames[k * stride]);
+  ASSERT_TRUE(dynamic_cast<const ReadAgent*>(
+                  stack.platform.decode_frame(frames.back()).get()) != nullptr);
+
+
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    const serial::Bytes& frame = frames[f];
+    for (std::size_t cut = 0; cut < frame.size(); ++cut) {
+      const serial::Bytes prefix(frame.begin(),
+                                 frame.begin() + static_cast<std::ptrdiff_t>(cut));
+      ASSERT_TRUE(decodes_or_rejects(stack.platform, prefix,
+                                     "frame " + std::to_string(f) + " cut " +
+                                         std::to_string(cut)));
+    }
+  }
+  sim::Rng rng(0xF1A9);
+  for (int flip = 0; flip < 400; ++flip) {
+    const std::size_t f = rng.bounded(frames.size());
+    serial::Bytes damaged = frames[f];
+    const std::size_t at = rng.bounded(damaged.size());
+    damaged[at] ^= static_cast<std::uint8_t>(1 + rng.bounded(255));
+    ASSERT_TRUE(decodes_or_rejects(stack.platform, damaged,
+                                   "frame " + std::to_string(f) + " flip at " +
+                                       std::to_string(at)));
+  }
+
+  // A phase byte outside UpdateAgent::Phase, in an otherwise intact state.
+  const UpdateAgent intact(2, {{7, "key-a", "value-a"}});
+  serial::Writer state;
+  intact.serialize(state);
+  serial::Writer prefix;  // origin and pending writes precede the phase
+  prefix.varint(2);
+  prefix.varint(1);
+  prefix.varint(7);
+  prefix.str("key-a");
+  prefix.str("value-a");
+  serial::Bytes bad_phase = state.bytes();
+  ASSERT_EQ(bad_phase[prefix.size()], 0u);  // Phase::Traveling
+  bad_phase[prefix.size()] = 5;
+  serial::Writer frame;
+  frame.str(kUpdateAgentType);
+  agent::AgentId{2, 5, 0}.serialize(frame);
+  frame.raw(bad_phase);
+  EXPECT_THROW(stack.platform.decode_frame(frame.bytes()), serial::DecodeError);
 }
 
 TEST(Marp, SingleServerDegenerateClusterWorks) {

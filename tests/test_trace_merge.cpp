@@ -238,6 +238,72 @@ TEST(CalibratedLatency, ManyDrawsReproduceTheTableMedian) {
                                  << " vs target " << target;
 }
 
+TEST(CalibratedLatency, TiedEvenTableClosesOnItsExactBelowShare) {
+  // A 16-sample table, so the table is the raw samples: a step from 170 to
+  // a three-way tie at the target 240 = q[8]. Eight of the 15 segments a
+  // draw picks from start below the target, so 8/15 of the draws fall
+  // below it, not half, and the replayed median (about 205) misses the
+  // target by 15%. A Binomial(n, 1/2) fallback rejects this faithful
+  // replay; the exact share accepts it.
+  net::CalibrationTable table;
+  table.links.push_back({0, 1, 16,
+                         {120, 130, 135, 140, 150, 160, 165, 170, 240, 240, 240,
+                          250, 260, 280, 300, 420}});
+  net::CalibratedLatency model(table);
+  sim::Rng rng(2024);
+  for (int i = 0; i < 4000; ++i) model.sample(0, 1, 64, rng);
+
+  const auto report = model.report();
+  ASSERT_EQ(report.size(), 1u);
+  const net::CalibratedLatency::LinkReport& link = report[0];
+  EXPECT_EQ(link.target_p50_us, 240);
+  EXPECT_DOUBLE_EQ(link.below_share, 8.0 / 15.0);
+  EXPECT_GT(std::abs(link.sampled_p50_us - 240), 24);  // outside both point bands
+  const double n = static_cast<double>(link.samples);
+  const bool old_rule =
+      std::abs(static_cast<double>(link.below_target) - n / 2.0) <= 1.5 * std::sqrt(n);
+  EXPECT_FALSE(old_rule) << link.below_target << " of " << link.samples;
+  EXPECT_TRUE(net::calibration_closed(link)) << link.below_target << " of "
+                                             << link.samples;
+}
+
+TEST(CalibratedLatency, ShiftedModelStillFailsClosure) {
+  // Replaying a model 20% slower than the measured table must fail: the
+  // median leaves the 10% band and far fewer draws than the exact share
+  // predicts fall below the measured target.
+  std::vector<std::int64_t> measured;
+  std::vector<std::int64_t> shifted;
+  for (int i = 0; i < 16; ++i) {
+    measured.push_back(100 + 10 * i);
+    shifted.push_back((100 + 10 * i) * 6 / 5);
+  }
+  net::CalibrationTable table;
+  table.links.push_back({0, 1, 16, measured});
+  const net::CalibratedLatency::LinkReport expected =
+      net::CalibratedLatency(table).report().at(0);
+
+  net::CalibrationTable slower;
+  slower.links.push_back({0, 1, 16, shifted});
+  net::CalibratedLatency model(slower);
+  sim::Rng rng(7);
+  for (int i = 0; i < 1000; ++i) model.sample(0, 1, 64, rng);
+  net::CalibratedLatency::LinkReport link = model.report().at(0);
+  // Judge the shifted draws against the measured table.
+  link.target_p50_us = expected.target_p50_us;
+  link.below_share = expected.below_share;
+  link.below_target = 0;
+  sim::Rng replay(7);
+  for (int i = 0; i < 1000; ++i) {
+    if (model.sample(0, 1, 64, replay).as_micros() < link.target_p50_us) {
+      ++link.below_target;
+    }
+  }
+  EXPECT_GT(link.sampled_p50_us, link.target_p50_us * 11 / 10);
+  EXPECT_FALSE(net::calibration_closed(link))
+      << link.below_target << " of " << link.samples << " below "
+      << link.target_p50_us << ", expected share " << link.below_share;
+}
+
 TEST(CalibratedLatency, UnmeasuredLinksFallBackToTheMeshMedian) {
   net::CalibrationTable table;
   table.links.push_back({0, 1, 50, {100, 100, 100}});

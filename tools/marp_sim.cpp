@@ -6,7 +6,6 @@
 //   marp_sim --protocol marp --servers 5 --interarrival 45 --seed 7
 //   marp_sim --protocol mcv --network wan --writes 0.3 --duration 30
 //   marp_sim --protocol marp --batch 4 --quorum-reads --csv
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -15,6 +14,7 @@
 #include <string>
 
 #include "metrics/report.hpp"
+#include "net/latency.hpp"
 #include "quorum/spec.hpp"
 #include "runner/experiment.hpp"
 #include "trace/export.hpp"
@@ -296,15 +296,11 @@ int main(int argc, char** argv) {
   }
   bool calibration_closed = true;
   if (!result.calibration_report.empty()) {
-    // Closure check: the sim replaying the wire it was calibrated from.
-    // Medians within a few percent mean the feedback loop is tight. The
-    // gate only judges links the workload actually exercised (the empirical
-    // median of a handful of draws is noise, not a model error), and on
-    // microsecond-scale links — a local UDS mesh — it allows a 10 us
-    // absolute band: quantile tables measured in single-digit microseconds
-    // have CDF steps larger than 10% of the median.
+    // Closure check: the sim replaying the wire it was calibrated from
+    // (net::calibration_closed). The gate only judges links the workload
+    // actually exercised: the empirical median of a handful of draws is
+    // noise, not a model error.
     constexpr std::uint64_t kMinSamplesForGate = 50;
-    constexpr std::int64_t kAbsoluteBandUs = 10;
     std::cout << "calibration (per link, target p50 -> sampled p50 us):\n";
     for (const auto& link : result.calibration_report) {
       const double err =
@@ -313,23 +309,8 @@ int main(int argc, char** argv) {
               : 100.0 *
                     static_cast<double>(link.sampled_p50_us - link.target_p50_us) /
                     static_cast<double>(link.target_p50_us);
-      const std::int64_t abs_err = std::abs(link.sampled_p50_us - link.target_p50_us);
       const bool gated = calibration_check && link.samples >= kMinSamplesForGate;
-      // Distribution-free fallback for links whose quantile ramp is steep
-      // around the median (heavy-tailed wires): if the model's median IS the
-      // target, the count of draws strictly below it is Binomial(n, 1/2), so
-      // accept when that count sits within 3 sigma of n/2. Unlike the point
-      // bands this stays honest as n grows — a truly shifted model still
-      // drifts out of the interval.
-      const double below_dev =
-          std::abs(static_cast<double>(link.below_target) -
-                   static_cast<double>(link.samples) / 2.0);
-      const bool median_consistent =
-          below_dev <= 1.5 * std::sqrt(static_cast<double>(link.samples));
-      const bool closed =
-          std::abs(err) <= 10.0 ||
-          (link.target_p50_us < 100 && abs_err <= kAbsoluteBandUs) ||
-          median_consistent;
+      const bool closed = net::calibration_closed(link);
       if (gated && !closed) calibration_closed = false;
       std::cout << "  " << link.src << "->" << link.dst << ": "
                 << link.target_p50_us << " -> " << link.sampled_p50_us << " ("
