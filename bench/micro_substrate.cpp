@@ -1,7 +1,7 @@
 // Micro-benchmarks for the substrate (google-benchmark): event queue,
-// RNG, serializer, agent-state round trip, UAL merge, the wire framer and its
-// checksum, network message delivery, and a whole small MARP simulation as a
-// macro sanity number.
+// RNG, serializer, agent-state round trip, UAL merge, the gossip exchange,
+// decide() at N = 64, the wire framer and its checksum, network message
+// delivery, and a whole small MARP simulation as a macro sanity number.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include "net/latency.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
+#include "quorum/quorum.hpp"
 #include "rpc/frame.hpp"
 #include "runner/experiment.hpp"
 #include "serial/byte_buffer.hpp"
@@ -161,6 +162,66 @@ void BM_UalMerge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UalMerge);
+
+void BM_GossipExchange(benchmark::State& state) {
+  // One visit's gossip exchange (MarpServer::visit): the Locking Table of
+  // loaded_agent()'s first lock group against a server cache that knows all
+  // 64 servers. Where both know a server, even servers are fresher in the
+  // cache and odd ones in the agent's table, so snapshots flow both ways.
+  // Each iteration exchanges fresh copies of both, as each hop rehydrates
+  // its own table.
+  const core::GroupLockTable& groups = loaded_agent().lock_tables();
+  if (groups.empty()) throw std::runtime_error("loaded agent carries no Locking Table");
+  const core::LockTable& visitor = groups.begin()->second;
+  core::LockTable cache;
+  for (net::NodeId node = 0; node < 64; ++node) {
+    if (const auto it = visitor.find(node); it != visitor.end()) {
+      core::LockSnapshot snapshot = it->second;
+      snapshot.observed_us += node % 2 == 0 ? 1 : -1;
+      cache.emplace(node, std::move(snapshot));
+    } else {
+      cache.emplace(node, core::LockSnapshot{{{node, 1000 + node, 0}, {(node + 1) % 64, 1001, 1},
+                                              {(node + 2) % 64, 1002, 2}},
+                                             1000 + node});
+    }
+  }
+  for (auto _ : state) {
+    core::LockTable mine = visitor;
+    core::LockTable theirs = cache;
+    core::exchange_lock_tables(mine, theirs);
+    benchmark::DoNotOptimize(mine.size() + theirs.size());
+  }
+  state.counters["visitor_entries"] = static_cast<double>(visitor.size());
+  state.counters["cache_entries"] = static_cast<double>(cache.size());
+}
+BENCHMARK(BM_GossipExchange);
+
+void BM_Decide(benchmark::State& state) {
+  // decide() at N = 64 under the grid geometry: every list known, three
+  // queued agents per list in seeded orders, one of six agents finished.
+  constexpr std::size_t kServers = 64;
+  quorum::QuorumSpec spec;
+  spec.geometry = quorum::Geometry::Grid;
+  const auto grid = quorum::make_quorum_system(spec, kServers);
+  std::vector<agent::AgentId> pool;
+  for (std::uint32_t i = 0; i < 6; ++i) pool.push_back({i % 4, 1000 + i * 37, i});
+  sim::Rng rng(5);
+  core::LockTable table;
+  for (net::NodeId node = 0; node < kServers; ++node) {
+    std::vector<agent::AgentId> queue = pool;
+    rng.shuffle(queue);
+    queue.resize(3);
+    table.emplace(node, core::LockSnapshot{std::move(queue), 100 + node});
+  }
+  const core::DoneSet done{pool[5]};
+  for (auto _ : state) {
+    const core::Decision decision =
+        core::decide(table, done, pool[0], kServers, core::TieBreakMode::TotalOrder, {},
+                     core::ProtocolMutant::None, grid.get());
+    benchmark::DoNotOptimize(decision.kind);
+  }
+}
+BENCHMARK(BM_Decide);
 
 void BM_FrameStreamDecode(benchmark::State& state) {
   // The node's receive path without the socket: a buffer of encoded frames

@@ -1,6 +1,9 @@
 #include "marp/priority.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <stdexcept>
+#include <string>
 
 #include "util/assert.hpp"
 
@@ -218,17 +221,85 @@ std::vector<agent::AgentId> predicted_order(const LockTable& table,
   return order;
 }
 
-void merge_lock_tables(LockTable& table, const LockTable& incoming) {
-  for (const auto& [node, snapshot] : incoming) {
+std::size_t LockTable::position(net::NodeId node) const {
+  const auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), node,
+      [](const value_type& entry, net::NodeId n) { return entry.first < n; });
+  return static_cast<std::size_t>(it - entries_.begin());
+}
+
+std::size_t LockTable::checked(net::NodeId node) const {
+  const std::size_t i = position(node);
+  if (i == size() || entries_[i].first != node) {
+    throw std::out_of_range("LockTable::at: no snapshot of node " + std::to_string(node));
+  }
+  return i;
+}
+
+LockSnapshot& LockTable::operator[](net::NodeId node) {
+  const std::size_t i = position(node);
+  if (i == size() || entries_[i].first != node) {
+    entries_.emplace(entries_.begin() + static_cast<std::ptrdiff_t>(i), node, LockSnapshot{});
+  }
+  return entries_[i].second;
+}
+
+bool LockTable::emplace(net::NodeId node, LockSnapshot snapshot) {
+  const std::size_t i = position(node);
+  if (i < size() && entries_[i].first == node) return false;
+  entries_.emplace(entries_.begin() + static_cast<std::ptrdiff_t>(i), node,
+                   std::move(snapshot));
+  return true;
+}
+
+void LockTable::adopt_missing(const LockTable& other) {
+  std::size_t fresh = 0;
+  auto mine = entries_.cbegin();
+  for (const auto& [node, snapshot] : other.entries_) {
     if (!snapshot.known()) continue;
-    auto& slot = table[node];
-    if (snapshot.observed_us > slot.observed_us) slot = snapshot;
+    while (mine != entries_.cend() && mine->first < node) ++mine;
+    if (mine == entries_.cend() || node < mine->first) ++fresh;
+  }
+  if (fresh == 0) return;
+  std::vector<value_type> merged;
+  merged.reserve(entries_.size() + fresh);
+  auto own = entries_.begin();
+  for (const value_type& entry : other.entries_) {
+    if (!entry.second.known()) continue;
+    while (own != entries_.end() && own->first < entry.first) {
+      merged.push_back(std::move(*own++));
+    }
+    if (own == entries_.end() || entry.first < own->first) merged.push_back(entry);
+  }
+  std::move(own, entries_.end(), std::back_inserter(merged));
+  entries_ = std::move(merged);
+}
+
+void merge_lock_tables(LockTable& table, const LockTable& incoming) {
+  // After the adoption every known incoming node has an entry here (the
+  // adopted ones equal to theirs); one ascending walk settles the rest.
+  table.adopt_missing(incoming);
+  auto mine = table.entries_.begin();
+  for (const auto& [node, snapshot] : incoming.entries_) {
+    while (mine != table.entries_.end() && mine->first < node) ++mine;
+    if (mine == table.entries_.end()) break;
+    if (mine->first == node && snapshot.fresher_than(mine->second)) mine->second = snapshot;
   }
 }
 
-void merge_group_lock_tables(GroupLockTable& table, const GroupLockTable& incoming) {
-  for (const auto& [group, tables] : incoming) {
-    merge_lock_tables(table[group], tables);
+void exchange_lock_tables(LockTable& a, LockTable& b) {
+  a.adopt_missing(b);
+  b.adopt_missing(a);
+  auto theirs = b.entries_.begin();
+  for (auto& [node, mine] : a.entries_) {
+    while (theirs != b.entries_.end() && theirs->first < node) ++theirs;
+    if (theirs == b.entries_.end()) break;
+    if (theirs->first != node) continue;
+    if (theirs->second.fresher_than(mine)) {
+      mine = theirs->second;
+    } else if (mine.fresher_than(theirs->second)) {
+      theirs->second = mine;
+    }
   }
 }
 
@@ -241,11 +312,25 @@ void serialize_lock_table(serial::Writer& w, const LockTable& table) {
 }
 
 LockTable deserialize_lock_table(serial::Reader& r) {
+  // A node, an agent count and a stamp: at least three bytes an entry.
+  const std::uint64_t n = r.length_prefix(3);
   LockTable table;
-  const std::uint64_t n = r.varint();
+  auto& entries = table.entries_;
+  entries.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto node = static_cast<net::NodeId>(r.varint());
-    table.emplace(node, LockSnapshot::deserialize(r));
+    entries.emplace_back(node, LockSnapshot::deserialize(r));
+  }
+  // The bytes may be outside input, so a run that is not strictly ascending
+  // is sorted, keeping the first snapshot of a repeated node.
+  using Entry = LockTable::value_type;
+  const auto node_less = [](const Entry& x, const Entry& y) { return x.first < y.first; };
+  const auto same_node = [](const Entry& x, const Entry& y) { return x.first == y.first; };
+  if (std::adjacent_find(entries.begin(), entries.end(), [&](const Entry& x, const Entry& y) {
+        return !node_less(x, y);
+      }) != entries.end()) {
+    std::stable_sort(entries.begin(), entries.end(), node_less);
+    entries.erase(std::unique(entries.begin(), entries.end(), same_node), entries.end());
   }
   return table;
 }
@@ -260,7 +345,8 @@ void serialize_group_lock_table(serial::Writer& w, const GroupLockTable& table) 
 
 GroupLockTable deserialize_group_lock_table(serial::Reader& r) {
   GroupLockTable table;
-  const std::uint64_t n = r.varint();
+  // A group id and a table count: at least two bytes a group.
+  const std::uint64_t n = r.length_prefix(2);
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto group = static_cast<shard::GroupId>(r.varint());
     table.emplace(group, deserialize_lock_table(r));

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "agent/agent_id.hpp"
@@ -29,18 +30,74 @@ struct LockSnapshot {
   std::int64_t observed_us = -1;  ///< -1 = never observed
 
   bool known() const noexcept { return observed_us >= 0; }
+  /// Whether this snapshot is known and strictly fresher than `other` — the
+  /// one condition under which a table adopts it over its own.
+  bool fresher_than(const LockSnapshot& other) const noexcept {
+    return known() && observed_us > other.observed_us;
+  }
+
+  friend bool operator==(const LockSnapshot&, const LockSnapshot&) = default;
 
   void serialize(serial::Writer& w) const;
   static LockSnapshot deserialize(serial::Reader& r);
 };
 
-/// The agent's Locking Table (LT, §3.2): per-server snapshots. With lock
-/// groups, each group has its own independent LT (see GroupLockTable).
-using LockTable = std::map<net::NodeId, LockSnapshot>;
+/// The agent's Locking Table (LT, §3.2): per-server snapshots, held as one
+/// vector of (node, snapshot) entries sorted by node, each node once. With
+/// lock groups, each group has its own independent LT (see GroupLockTable).
+///
+/// Every hop reads a table off the wire, exchanges it with the visited
+/// server's gossip cache and hands it to decide(); a table holds one entry
+/// per server the agent has heard of, so at N = 64 it is walked far more
+/// often than it grows. Like a std::map it iterates nodes in ascending
+/// order and offers `operator[]`, `find`, `contains`, `at`, `emplace` and
+/// `[node, snapshot]` range-for; a lookup is a binary search and a walk one
+/// pass over contiguous entries.
+class LockTable {
+ public:
+  using value_type = std::pair<net::NodeId, LockSnapshot>;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  std::size_t size() const noexcept { return entries_.size(); }
+  bool empty() const noexcept { return entries_.empty(); }
+  const_iterator begin() const noexcept { return entries_.begin(); }
+  const_iterator end() const noexcept { return entries_.end(); }
+
+  const_iterator find(net::NodeId node) const {
+    const std::size_t i = position(node);
+    return i < size() && entries_[i].first == node ? begin() + i : end();
+  }
+  bool contains(net::NodeId node) const { return find(node) != end(); }
+  /// The snapshot of `node`; throws std::out_of_range when absent.
+  const LockSnapshot& at(net::NodeId node) const { return entries_[checked(node)].second; }
+  LockSnapshot& at(net::NodeId node) { return entries_[checked(node)].second; }
+  /// The snapshot of `node`, inserting an unknown one when absent.
+  LockSnapshot& operator[](net::NodeId node);
+  /// Insert `snapshot` for `node` unless the node is present; false if it was.
+  bool emplace(net::NodeId node, LockSnapshot snapshot);
+
+  friend bool operator==(const LockTable&, const LockTable&) = default;
+
+  friend void merge_lock_tables(LockTable& table, const LockTable& incoming);
+  friend void exchange_lock_tables(LockTable& a, LockTable& b);
+  friend LockTable deserialize_lock_table(serial::Reader& r);
+
+ private:
+  /// Index of the first entry whose node is not below `node`.
+  std::size_t position(net::NodeId node) const;
+  /// Index of `node`'s entry; throws std::out_of_range when absent.
+  std::size_t checked(net::NodeId node) const;
+  /// Copy in every known entry of `other` whose node this table lacks, in
+  /// one merge pass that allocates once (and not at all when none is new).
+  void adopt_missing(const LockTable& other);
+
+  std::vector<value_type> entries_;
+};
 
 /// Per-group locking tables — the sharded generalisation of the LT. An
-/// agent only carries entries for the groups its write-set touches, so the
-/// migrating state stays proportional to the write-set, not the shard count.
+/// agent only carries entries for the groups its write-set touches (one
+/// table per lock group of its write-set, usually one), so the migrating
+/// state stays proportional to the write-set, not the shard count.
 using GroupLockTable = std::map<shard::GroupId, LockTable>;
 
 /// Set of agents known to have finished (the agent's UAL, §3.2), ascending.
@@ -138,13 +195,24 @@ std::vector<agent::AgentId> predicted_order(const LockTable& table,
                                             const VoteWeights& votes = {},
                                             std::size_t limit = 0);
 
-/// Merge `incoming` into `table`, keeping the fresher snapshot per server.
+/// Merge `incoming` into `table`: per server, `table` takes the incoming
+/// snapshot where it is fresher (LockSnapshot::fresher_than; an absent
+/// server counts as never observed).
 void merge_lock_tables(LockTable& table, const LockTable& incoming);
 
-/// Group-wise merge: per (group, server), the fresher snapshot wins.
-void merge_group_lock_tables(GroupLockTable& table, const GroupLockTable& incoming);
+/// The two-way gossip exchange of one group's tables (§3.3): per server,
+/// each table takes the other's snapshot where that one is fresher; on a
+/// tie each keeps its own. Equal to merging `b` into a copy of `a` and `a`
+/// into `b`, without the copy.
+void exchange_lock_tables(LockTable& a, LockTable& b);
 
+/// Wire form: a varint count, then per entry the node and its snapshot,
+/// nodes ascending.
 void serialize_lock_table(serial::Writer& w, const LockTable& table);
+/// Decodes any run as emplacing its entries one by one would: an
+/// out-of-order run comes back sorted, and of a repeated node the first
+/// snapshot is kept. A count larger than the bytes left could hold throws
+/// serial::DecodeError before anything is allocated.
 LockTable deserialize_lock_table(serial::Reader& r);
 
 void serialize_group_lock_table(serial::Writer& w, const GroupLockTable& table);

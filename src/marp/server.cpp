@@ -223,51 +223,50 @@ void MarpServer::dispatch_agent() {
 
 VisitResult MarpServer::visit(const agent::AgentId& visitor,
                               const std::vector<std::string>& keys,
-                              const GroupLockTable& carried_gossip) {
+                              GroupLockTable& tables) {
   MARP_REQUIRE_MSG(up_, "visit() on a failed server");
   std::vector<shard::GroupId> groups = router_.groups_of(keys);
   if (groups.empty()) groups.push_back(0);
 
-  // This server only runs the Locking-List machinery of the groups it
-  // hosts. An agent that lands here with other groups is stale (its view
-  // predates a change) — the epoch below tells it so.
-  VisitResult result;
-  result.epoch = epoch();
-  std::erase_if(groups, [this](shard::GroupId g) {
-    return !electorate(g).hosts(node_);
-  });
-  // Algorithm 2: "create an entry for the mobile agent and append it to LL"
-  // (idempotent on re-visits — the agent keeps its queue position), once per
-  // lock group the write-set routes to.
   for (const shard::GroupId g : groups) {
+    // This server only runs the Locking-List machinery of the groups it
+    // hosts. An agent that lands here with other groups is stale (its view
+    // predates a change; this server's epoch tells it so). Its table of such
+    // a group still feeds the cache.
+    if (!electorate(g).hosts(node_)) {
+      const auto it = tables.find(g);
+      if (config_.gossip && it != tables.end()) merge_lock_tables(gossip_cache_[g], it->second);
+      continue;
+    }
+    // Algorithm 2: "create an entry for the mobile agent and append it to
+    // LL" (idempotent on re-visits — the agent keeps its queue position).
     auto& grp = lock_space_.group(g);
     if (grp.ll.append(visitor, now())) {
       if (auto* tracer = protocol_.tracer()) tracer->ll_enqueue(visitor, node_, g);
     }
-    result.locking_lists.emplace(
-        g, LockSnapshot{grp.ll.snapshot(), now().as_micros()});
+    LockSnapshot fresh{grp.ll.snapshot(), now().as_micros()};
+    LockTable& mine = tables[g];
+    if (!config_.gossip) {
+      mine[node_] = std::move(fresh);
+      continue;
+    }
+    // "Mobile agents can exchange their locking information by leaving the
+    // information at the servers they visited" (§3.3). Only the visitor's
+    // own groups are exchanged — gossip stays proportional to the write-set.
+    LockTable& cache = gossip_cache_[g];
+    exchange_lock_tables(mine, cache);
+    // This server's own snapshot: the cache keeps the fresh one for later
+    // visitors, and the visitor takes it unless the cache knew a fresher.
+    LockSnapshot& cached_here = cache[node_];
+    mine[node_] = cached_here.fresher_than(fresh) ? cached_here : fresh;
+    cached_here = std::move(fresh);
   }
   touch_agent(visitor);
+  VisitResult result;
   result.updated_list = ul_.ascending();
   result.routing_costs = routing_costs();
   for (const std::string& key : keys) {
     if (auto value = store_.read(key)) result.data.emplace(key, *value);
-  }
-
-  if (config_.gossip) {
-    // "Mobile agents can exchange their locking information by leaving the
-    // information at the servers they visited" (§3.3). Only the visitor's
-    // own groups are exchanged — gossip stays proportional to the write-set.
-    merge_group_lock_tables(gossip_cache_, carried_gossip);
-    for (const shard::GroupId g : groups) {
-      if (auto it = gossip_cache_.find(g); it != gossip_cache_.end()) {
-        result.gossip.emplace(g, it->second);
-      }
-    }
-    // The agent also leaves this server's own fresh snapshots for others.
-    for (const shard::GroupId g : groups) {
-      gossip_cache_[g][node_] = result.locking_lists.at(g);
-    }
   }
   return result;
 }

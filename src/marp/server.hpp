@@ -38,19 +38,14 @@ class MarpProtocol;
 /// Name under which the server publishes itself to visiting agents.
 inline constexpr const char* kMarpServiceName = "marp";
 
-/// What a visiting agent takes away from one local interaction (§3.3): the
-/// locking lists of the groups its write-set touches (with itself appended),
-/// the updated list, the routing table, the freshest local copies of the
-/// keys it will write, and any gossip left by earlier visitors.
+/// What a visiting agent takes away from one local interaction (§3.3)
+/// besides its Locking Tables, which MarpServer::visit updates in place:
+/// the updated list, the routing table and the freshest local copies of the
+/// keys it will write.
 struct VisitResult {
-  std::map<shard::GroupId, LockSnapshot> locking_lists;
   agent::AgentIdSet updated_list;  ///< the UL, ascending
   std::vector<std::int64_t> routing_costs;
   std::map<std::string, replica::VersionedValue> data;
-  GroupLockTable gossip;
-  /// Server's membership epoch at visit time (0 = static membership). A
-  /// visiting agent born under an older epoch must abort-and-re-tour.
-  std::uint64_t epoch = 0;
 };
 
 class MarpServer : public replica::ServerBase {
@@ -72,11 +67,18 @@ class MarpServer : public replica::ServerBase {
   // ---- local interface used by agents hosted on this node ----
 
   /// One visit: append `visitor` to the LL of every group its keys route to
-  /// (idempotent), exchange gossip, and return everything the agent records
-  /// in its data structures. An empty key set queues in group 0 only.
+  /// (idempotent), record each such hosted group's fresh LL snapshot in the
+  /// visitor's `tables`, exchange gossip, and return the rest of what the
+  /// agent records. An empty key set queues in group 0 only.
+  ///
+  /// Gossip (config().gossip) is one in-place exchange per routed group:
+  /// where the group is hosted here, `tables` and the gossip cache each take
+  /// the other's fresher snapshots (exchange_lock_tables) and the cache
+  /// keeps this server's fresh one; where it is routed but not hosted, the
+  /// cache only absorbs the visitor's table. Tables of any other group are
+  /// ignored, so a frame naming arbitrary groups cannot grow the cache.
   VisitResult visit(const agent::AgentId& visitor,
-                    const std::vector<std::string>& keys,
-                    const GroupLockTable& carried_gossip);
+                    const std::vector<std::string>& keys, GroupLockTable& tables);
 
   /// Cheap local refresh for an agent already resident here (used on
   /// lock-change signals): fresh LL snapshots + UL only, no gossip exchange,
@@ -195,6 +197,8 @@ class MarpServer : public replica::ServerBase {
   const shard::LockSpace& lock_space() const noexcept { return lock_space_; }
   const shard::ShardRouter& router() const noexcept { return router_; }
   const replica::UpdatedList& updated_list() const noexcept { return ul_; }
+  /// Locking information left here by visitors (§3.3), per group (tests).
+  const GroupLockTable& gossip_cache() const noexcept { return gossip_cache_; }
   std::size_t pending_requests() const noexcept { return pending_.size(); }
 
  protected:

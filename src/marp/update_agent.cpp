@@ -254,22 +254,17 @@ void UpdateAgent::do_visit(agent::AgentContext& ctx) {
     return;
   }
   MarpServer& server = server_here(ctx);
-  const MarpConfig& config = server.config();
 
-  const VisitResult result =
-      server.visit(id(), keys(), config.gossip ? lt_ : GroupLockTable{});
-
-  if (result.epoch > epoch_ && config.mutant != ProtocolMutant::MixedEpoch) {
+  const VisitResult result = server.visit(id(), keys(), lt_);
+  if (server.epoch() > epoch_ && server.config().mutant != ProtocolMutant::MixedEpoch) {
     // This server advertises a newer view: everything collected so far is
-    // scoped to a dead epoch. Abort-and-re-tour under the new one.
+    // scoped to a dead epoch, the tables this visit just filled included
+    // (the re-tour clears them; an abort never reads them again).
+    // Abort-and-re-tour under the new one.
     withdraw_and_requeue(ctx, &server.installed());
     return;
   }
 
-  for (const auto& [group, snapshot] : result.locking_lists) {
-    lt_[group][ctx.here()] = snapshot;
-  }
-  if (config.gossip) merge_group_lock_tables(lt_, result.gossip);
   ual_.merge(result.updated_list);
   for (const auto& [key, value] : result.data) {
     auto& best = freshest_[key];
@@ -292,15 +287,16 @@ void UpdateAgent::evaluate(agent::AgentContext& ctx) {
   std::vector<agent::AgentId> losing_to;
   bool loses_to_younger = false;
   std::uint64_t losing_fingerprint = 0xCBF29CE484222325ULL;
+  static const LockTable kNothingKnown;
   for (const shard::GroupId g : groups_) {
     const auto it = lt_.find(g);
+    const LockTable& table = it == lt_.end() ? kNothingKnown : it->second;
     // The election is scoped to the group's electorate: its size is N and
     // its geometry the rule (majority arithmetic, or write coverage).
     const quorum::QuorumSystem& electors = electorate(ctx, g).quorum();
     const Decision verdict =
-        decide(it == lt_.end() ? LockTable{} : it->second, ual_, id(),
-               electors.size(), server.config().tie_break, server.config().votes,
-               server.config().mutant, &electors);
+        decide(table, ual_, id(), electors.size(), server.config().tie_break,
+               server.config().votes, server.config().mutant, &electors);
     if (verdict.kind == Decision::Kind::Win) headed.push_back(g);
     if (verdict.kind == Decision::Kind::Lose) {
       losing_to.push_back(*verdict.winner);

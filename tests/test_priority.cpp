@@ -3,7 +3,9 @@
 // applying `decide` to the same information must name the same winner.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <stdexcept>
 
 #include "marp/priority.hpp"
 #include "sim/random.hpp"
@@ -188,6 +190,30 @@ TEST(MergeLockTables, KeepsFresherSnapshots) {
   EXPECT_EQ(mine[2].agents.front(), aid(5));
 }
 
+TEST(ExchangeLockTables, EqualsTwoOneWayMerges) {
+  sim::Rng rng(23);
+  for (int trial = 0; trial < 500; ++trial) {
+    LockTable a;
+    LockTable b;
+    for (LockTable* table : {&a, &b}) {
+      for (net::NodeId node = 0; node < 8; ++node) {
+        if (rng.bounded(3) == 0) continue;
+        std::vector<agent::AgentId> queue = {aid(1), aid(2), aid(3)};
+        rng.shuffle(queue);
+        queue.resize(rng.bounded(queue.size() + 1));
+        (*table)[node] = snap(std::move(queue), -1 + static_cast<std::int64_t>(rng.bounded(5)));
+      }
+    }
+    LockTable want_a = a;
+    merge_lock_tables(want_a, b);
+    LockTable want_b = b;
+    merge_lock_tables(want_b, a);
+    exchange_lock_tables(a, b);
+    EXPECT_EQ(a, want_a);
+    EXPECT_EQ(b, want_b);
+  }
+}
+
 TEST(LockTableSerialization, RoundTrips) {
   LockTable table;
   table[0] = snap({aid(1), aid(2)}, 111);
@@ -201,6 +227,89 @@ TEST(LockTableSerialization, RoundTrips) {
   EXPECT_EQ(copy.at(0).observed_us, 111);
   EXPECT_TRUE(copy.at(3).agents.empty());
   EXPECT_EQ(copy.at(3).observed_us, 222);
+}
+
+TEST(LockTableSerialization, HugeCountIsADecodeError) {
+  serial::Writer w;
+  w.varint(std::uint64_t{1} << 40);
+  w.varint(0);
+  serial::Reader r(w.bytes());
+  EXPECT_THROW(deserialize_lock_table(r), serial::DecodeError);
+  serial::Reader groups(w.bytes());
+  EXPECT_THROW(deserialize_group_lock_table(groups), serial::DecodeError);
+}
+
+TEST(LockTableSerialization, RepeatedNodeKeepsItsFirstSnapshot) {
+  serial::Writer w;
+  w.varint(2);
+  w.varint(3);
+  snap({aid(1)}, 10).serialize(w);
+  w.varint(3);
+  snap({aid(2)}, 20).serialize(w);
+  serial::Reader r(w.bytes());
+  const LockTable table = deserialize_lock_table(r);
+  EXPECT_TRUE(r.at_end());
+  ASSERT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.at(3), snap({aid(1)}, 10));
+}
+
+TEST(LockTableSerialization, OutOfOrderRunDecodesSortedAndReencodesAscending) {
+  serial::Writer w;
+  w.varint(3);
+  for (const net::NodeId node : {5u, 1u, 3u}) {
+    w.varint(node);
+    snap({aid(node)}, node).serialize(w);
+  }
+  serial::Reader r(w.bytes());
+  const LockTable table = deserialize_lock_table(r);
+  std::vector<net::NodeId> order;
+  for (const auto& [node, snapshot] : table) {
+    order.push_back(node);
+    EXPECT_EQ(snapshot, snap({aid(node)}, node));
+  }
+  EXPECT_EQ(order, (std::vector<net::NodeId>{1, 3, 5}));
+
+  LockTable ascending;
+  for (const net::NodeId node : {1u, 3u, 5u}) ascending[node] = snap({aid(node)}, node);
+  serial::Writer again;
+  serialize_lock_table(again, table);
+  serial::Writer expected;
+  serialize_lock_table(expected, ascending);
+  EXPECT_EQ(again.bytes(), expected.bytes());
+}
+
+TEST(LockTable, BehavesLikeTheMapItReplaced) {
+  sim::Rng rng(17);
+  LockTable table;
+  std::map<net::NodeId, LockSnapshot> ref;
+  for (int step = 0; step < 2000; ++step) {
+    const auto node = static_cast<net::NodeId>(rng.bounded(24));
+    const LockSnapshot value = snap({aid(static_cast<std::uint32_t>(step))}, step);
+    switch (rng.bounded(4)) {
+      case 0:
+        table[node] = value;
+        ref[node] = value;
+        break;
+      case 1:
+        EXPECT_EQ(table.emplace(node, value), ref.emplace(node, value).second);
+        break;
+      case 2:
+        EXPECT_EQ(table[node], ref[node]);  // inserts an unknown snapshot
+        break;
+      default:
+        ASSERT_EQ(table.contains(node), ref.contains(node));
+        if (ref.contains(node)) {
+          EXPECT_EQ(table.at(node), ref.at(node));
+          EXPECT_EQ(table.find(node)->second, ref.at(node));
+        } else {
+          EXPECT_EQ(table.find(node), table.end());
+          EXPECT_THROW(table.at(node), std::out_of_range);
+        }
+        break;
+    }
+    const std::map<net::NodeId, LockSnapshot> as_map(table.begin(), table.end());
+    ASSERT_EQ(as_map, ref);
+  }
 }
 
 // ---- §3.3 extension: predicting the full lock order ----
