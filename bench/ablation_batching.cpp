@@ -12,6 +12,7 @@
 int main(int argc, char** argv) {
   using namespace marp;
   const bench::Options options = bench::parse_options(argc, argv);
+  bool inconsistent = false;
   const std::vector<std::size_t> batch_sizes{1, 2, 4, 8};
 
   ThreadPool pool;
@@ -31,7 +32,7 @@ int main(int argc, char** argv) {
                         "migrations/write", "msgs/write", "wire KB/write"});
   for (std::size_t b = 0; b < batch_sizes.size(); ++b) {
     const auto& aggregate = aggregates[b];
-    bench::warn_if_inconsistent(aggregate,
+    inconsistent |= bench::warn_if_inconsistent(aggregate,
                                 "batch=" + std::to_string(batch_sizes[b]));
     table.add_row(
         {std::to_string(batch_sizes[b]),
@@ -47,5 +48,5 @@ int main(int argc, char** argv) {
   std::cout << "\nShape check: migrations and messages per write fall roughly\n"
                "as 1/batch; under contention batching also shortens client\n"
                "latency because fewer agents compete for the lock.\n";
-  return 0;
+  return inconsistent ? 1 : 0;
 }

@@ -11,6 +11,7 @@
 int main(int argc, char** argv) {
   using namespace marp;
   const bench::Options options = bench::parse_options(argc, argv);
+  bool inconsistent = false;
 
   struct Scenario {
     const char* name;
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
     const auto& aggregate = aggregates[s];
     // Note: convergence is only audited on untouched servers, so even the
     // failure scenarios must report consistent.
-    bench::warn_if_inconsistent(aggregate, scenarios[s].name);
+    inconsistent |= bench::warn_if_inconsistent(aggregate, scenarios[s].name);
     const double total = static_cast<double>(aggregate.successful_writes +
                                              aggregate.failed_writes);
     table.add_row(
@@ -67,5 +68,5 @@ int main(int argc, char** argv) {
                "(requests lost with their origin server excepted), collapses\n"
                "for non-origin writes when 3 of 5 are down, and recovery\n"
                "restores full service.\n";
-  return 0;
+  return inconsistent ? 1 : 0;
 }

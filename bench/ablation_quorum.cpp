@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
   for (const std::size_t n : n_grid) {
     for (const quorum::Geometry geometry : geometries) {
       const Cell cell = run_cell(geometry, n, options.seeds);
-      table.add_row({quorum::geometry_name(geometry), std::to_string(n),
+      table.add_row({std::string(quorum::geometry_name(geometry)), std::to_string(n),
                      std::to_string(cell.min_quorum),
                      std::to_string(cell.majority_bound),
                      metrics::Table::num(cell.visits_mean, 2),

@@ -12,6 +12,7 @@
 int main(int argc, char** argv) {
   using namespace marp;
   const bench::Options options = bench::parse_options(argc, argv);
+  bool inconsistent = false;
 
   struct Variant {
     const char* name;
@@ -47,7 +48,7 @@ int main(int argc, char** argv) {
                         "wire KB/write"});
   for (std::size_t v = 0; v < variants.size(); ++v) {
     const auto& aggregate = aggregates[v];
-    bench::warn_if_inconsistent(aggregate, variants[v].name);
+    inconsistent |= bench::warn_if_inconsistent(aggregate, variants[v].name);
     table.add_row(
         {variants[v].name,
          metrics::with_ci(aggregate.alt_ms.mean(),
@@ -62,5 +63,5 @@ int main(int argc, char** argv) {
                "replicas first, lowering ALT vs. random/fixed orders; gossip\n"
                "trims migrations by letting agents decide with second-hand\n"
                "locking information.\n";
-  return 0;
+  return inconsistent ? 1 : 0;
 }

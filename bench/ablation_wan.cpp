@@ -12,6 +12,7 @@
 int main(int argc, char** argv) {
   using namespace marp;
   const bench::Options options = bench::parse_options(argc, argv);
+  bool inconsistent = false;
 
   const std::vector<runner::ProtocolKind> protocols{runner::ProtocolKind::Marp,
                                                     runner::ProtocolKind::MpMcv};
@@ -45,7 +46,7 @@ int main(int argc, char** argv) {
     for (std::size_t n = 0; n < networks.size(); ++n) {
       const auto& aggregate = aggregates[p * networks.size() + n];
       const bool is_lan = networks[n] == runner::NetworkKind::Lan;
-      bench::warn_if_inconsistent(
+      inconsistent |= bench::warn_if_inconsistent(
           aggregate, std::string(runner::protocol_name(protocols[p])) +
                          (is_lan ? "/LAN" : "/WAN"));
       if (is_lan) lan_att = aggregate.att_ms.mean();
@@ -66,5 +67,5 @@ int main(int argc, char** argv) {
                "message-passing baseline pays per message round while MARP\n"
                "pays per migration hop — its coordination happens locally at\n"
                "each server, which is the paper's core claim.\n";
-  return 0;
+  return inconsistent ? 1 : 0;
 }

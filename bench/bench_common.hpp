@@ -1,21 +1,20 @@
 // Shared plumbing for the figure/table benches: flag parsing, the standard
 // workload grid, and experiment-config builders. Every bench prints an
-// aligned table of the series the paper reports (plus CSV with --csv).
-//
-// Flags:  --seeds N   replications per point (default 3)
-//         --quick     coarse grid, 1 seed (CI smoke)
-//         --csv       also emit CSV after the table
+// aligned table of the series the paper reports (plus CSV with --csv), and
+// exits 1 when any point broke an invariant. `--help` lists the flags.
 #pragma once
 
-#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "metrics/report.hpp"
 #include "runner/experiment.hpp"
 #include "runner/sweep.hpp"
+#include "util/flags.hpp"
 #include "util/thread_pool.hpp"
 
 namespace marp::bench {
@@ -31,22 +30,15 @@ struct Options {
 
 inline Options parse_options(int argc, char** argv) {
   Options options;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
-      options.seeds = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      options.quick = true;
-      options.seeds = 1;
-    } else if (std::strcmp(argv[i], "--csv") == 0) {
-      options.csv = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      options.json_path = argv[++i];
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--seeds N] [--quick] [--csv] [--json FILE]\n";
-      std::exit(2);
-    }
-  }
+  std::optional<std::size_t> seeds;
+  util::Flags flags{std::filesystem::path(argv[0]).filename().string()};
+  flags.add("--seeds", "N", seeds, "replications per point (default 3, or 1 with --quick)")
+      .toggle("--quick", options.quick, true, "coarse grid, 1 seed (CI smoke)")
+      .toggle("--csv", options.csv, true, "also emit CSV after the table")
+      .add("--json", "FILE", options.json_path,
+           "also write the table as a JSON array of row objects");
+  flags.parse(argc, argv);
+  options.seeds = seeds.value_or(options.quick ? 1 : options.seeds);
   return options;
 }
 
@@ -99,14 +91,16 @@ inline void print_table(const metrics::Table& table, const Options& options) {
   }
 }
 
-inline void warn_if_inconsistent(const runner::Aggregate& aggregate,
+/// Prints a CONSISTENCY FAILURE line for a point that broke an invariant;
+/// returns whether it did, so the bench can exit 1 after its table.
+inline bool warn_if_inconsistent(const runner::Aggregate& aggregate,
                                  const std::string& where) {
-  if (!aggregate.all_consistent || aggregate.mutex_violations != 0) {
-    std::cerr << "CONSISTENCY FAILURE at " << where << ": "
-              << (aggregate.problems.empty() ? "mutex violation"
-                                             : aggregate.problems.front())
-              << '\n';
-  }
+  if (aggregate.all_consistent && aggregate.mutex_violations == 0) return false;
+  std::cerr << "CONSISTENCY FAILURE at " << where << ": "
+            << (aggregate.problems.empty() ? "mutex violation"
+                                           : aggregate.problems.front())
+            << '\n';
+  return true;
 }
 
 }  // namespace marp::bench

@@ -12,6 +12,7 @@
 int main(int argc, char** argv) {
   using namespace marp;
   const bench::Options options = bench::parse_options(argc, argv);
+  bool inconsistent = false;
   const std::vector<double> grid = bench::interarrival_grid(options.quick);
   const std::vector<runner::ProtocolKind> protocols{
       runner::ProtocolKind::Marp, runner::ProtocolKind::MpMcv,
@@ -37,7 +38,7 @@ int main(int argc, char** argv) {
     std::string msgs;
     for (std::size_t p = 0; p < protocols.size(); ++p) {
       const auto& aggregate = aggregates[p * grid.size() + g];
-      bench::warn_if_inconsistent(
+      inconsistent |= bench::warn_if_inconsistent(
           aggregate, std::string(runner::protocol_name(protocols[p])) + " ia=" +
                          std::to_string(grid[g]));
       row.push_back(metrics::with_ci(aggregate.client_latency_ms.mean(),
@@ -54,5 +55,5 @@ int main(int argc, char** argv) {
                "rows); uncontended (right rows) the centralized and\n"
                "message-round protocols answer faster while MARP holds the\n"
                "lowest message budget — the trade the paper proposes.\n";
-  return 0;
+  return inconsistent ? 1 : 0;
 }

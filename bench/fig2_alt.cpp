@@ -12,6 +12,7 @@
 int main(int argc, char** argv) {
   using namespace marp;
   const bench::Options options = bench::parse_options(argc, argv);
+  bool inconsistent = false;
   const std::vector<double> grid = bench::interarrival_grid(options.quick);
   const std::vector<std::size_t> cluster_sizes{3, 4, 5};
 
@@ -32,7 +33,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{metrics::Table::num(grid[g], 0)};
     for (std::size_t s = 0; s < cluster_sizes.size(); ++s) {
       const auto& aggregate = aggregates[s * grid.size() + g];
-      bench::warn_if_inconsistent(
+      inconsistent |= bench::warn_if_inconsistent(
           aggregate, "fig2 N=" + std::to_string(cluster_sizes[s]) + " ia=" +
                          std::to_string(grid[g]));
       row.push_back(metrics::with_ci(aggregate.alt_ms.mean(),
@@ -43,5 +44,5 @@ int main(int argc, char** argv) {
   bench::print_table(table, options);
   std::cout << "\nShape check: ALT should fall monotonically (modulo noise) as\n"
                "inter-arrival grows, and grow with the number of servers.\n";
-  return 0;
+  return inconsistent ? 1 : 0;
 }

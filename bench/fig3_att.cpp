@@ -11,6 +11,7 @@
 int main(int argc, char** argv) {
   using namespace marp;
   const bench::Options options = bench::parse_options(argc, argv);
+  bool inconsistent = false;
   const std::vector<double> grid = bench::interarrival_grid(options.quick);
   const std::vector<std::size_t> cluster_sizes{3, 4, 5};
 
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
     double att5 = 0.0, alt5 = 0.0;
     for (std::size_t s = 0; s < cluster_sizes.size(); ++s) {
       const auto& aggregate = aggregates[s * grid.size() + g];
-      bench::warn_if_inconsistent(
+      inconsistent |= bench::warn_if_inconsistent(
           aggregate, "fig3 N=" + std::to_string(cluster_sizes[s]) + " ia=" +
                          std::to_string(grid[g]));
       row.push_back(metrics::with_ci(aggregate.att_ms.mean(),
@@ -49,5 +50,5 @@ int main(int argc, char** argv) {
   bench::print_table(table, options);
   std::cout << "\nShape check: ATT tracks Figure 2's ALT plus a messaging delta\n"
                "(UPDATE/ACK/COMMIT rounds); both fall as load lightens.\n";
-  return 0;
+  return inconsistent ? 1 : 0;
 }

@@ -11,6 +11,7 @@
 int main(int argc, char** argv) {
   using namespace marp;
   const bench::Options options = bench::parse_options(argc, argv);
+  bool inconsistent = false;
   const std::vector<double> grid = bench::interarrival_grid(options.quick);
   constexpr std::size_t kServers = 5;
 
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
       {"inter-arrival (ms)", "K=3 (%)", "K=4 (%)", "K=5 (%)", "dominant K"});
   for (std::size_t g = 0; g < grid.size(); ++g) {
     const auto& aggregate = aggregates[g];
-    bench::warn_if_inconsistent(aggregate, "fig4 ia=" + std::to_string(grid[g]));
+    inconsistent |= bench::warn_if_inconsistent(aggregate, "fig4 ia=" + std::to_string(grid[g]));
     std::vector<std::string> row{metrics::Table::num(grid[g], 0)};
     std::uint32_t dominant = 0;
     double dominant_pct = -1.0;
@@ -47,5 +48,5 @@ int main(int argc, char** argv) {
   bench::print_table(table, options);
   std::cout << "\nShape check: the dominant K flips from 5 (heavy contention)\n"
                "to (N+1)/2 = 3 (light load) as inter-arrival time grows.\n";
-  return 0;
+  return inconsistent ? 1 : 0;
 }

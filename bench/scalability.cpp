@@ -11,6 +11,7 @@
 int main(int argc, char** argv) {
   using namespace marp;
   const bench::Options options = bench::parse_options(argc, argv);
+  bool inconsistent = false;
   const std::vector<std::size_t> sizes{3, 5, 7, 9, 11};
 
   ThreadPool pool;
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
                         "migrations/write", "msgs/write"});
   for (std::size_t s = 0; s < sizes.size(); ++s) {
     const auto& aggregate = aggregates[s];
-    bench::warn_if_inconsistent(aggregate, "N=" + std::to_string(sizes[s]));
+    inconsistent |= bench::warn_if_inconsistent(aggregate, "N=" + std::to_string(sizes[s]));
     table.add_row({std::to_string(sizes[s]),
                    std::to_string((sizes[s] + 1) / 2),
                    metrics::with_ci(aggregate.alt_ms.mean(),
@@ -43,5 +44,5 @@ int main(int argc, char** argv) {
                "(sequential migrations); messages per write grow ~2N from the\n"
                "UPDATE/COMMIT broadcasts — the scalability price of keeping\n"
                "coordination fully distributed.\n";
-  return 0;
+  return inconsistent ? 1 : 0;
 }

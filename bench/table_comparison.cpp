@@ -14,6 +14,7 @@
 int main(int argc, char** argv) {
   using namespace marp;
   const bench::Options options = bench::parse_options(argc, argv);
+  bool inconsistent = false;
 
   const std::vector<runner::ProtocolKind> protocols{
       runner::ProtocolKind::Marp,          runner::ProtocolKind::MpMcv,
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
       const std::string where =
           std::string(runner::protocol_name(protocols[p])) +
           (networks[n] == runner::NetworkKind::Lan ? "/LAN" : "/WAN");
-      bench::warn_if_inconsistent(aggregate, "tableA " + where);
+      inconsistent |= bench::warn_if_inconsistent(aggregate, "tableA " + where);
       table.add_row({networks[n] == runner::NetworkKind::Lan ? "LAN" : "WAN",
                      runner::protocol_name(protocols[p]),
                      metrics::with_ci(aggregate.client_latency_ms.mean(),
@@ -75,5 +76,5 @@ int main(int argc, char** argv) {
                "background anti-entropy (traffic independent of the write\n"
                "rate, amortized here over few writes) — its per-write\n"
                "latency is the point, its gossip bill the price.\n";
-  return 0;
+  return inconsistent ? 1 : 0;
 }

@@ -164,7 +164,7 @@ void AgentPlatform::begin_migration(std::unique_ptr<MobileAgent> agent,
   // destination (connection timeout) and the agent retries from where it was.
   const bool reachable = network_.node_up(src) && network_.node_up(dest) &&
                          network_.link_up(src, dest) &&
-                         !network_.roll_transfer_loss(src, dest);
+                         !network_.roll_transfer_loss();
   if (!reachable) {
     // Connection never establishes; source detects after the timeout.
     simulator.schedule(config_.migration_timeout, [this, frame, id, src, dest] {

@@ -97,7 +97,6 @@ class AgentPlatform {
                      net::MessageType type, serial::Bytes payload);
 
   const PlatformStats& stats() const noexcept { return stats_; }
-  void reset_stats() { stats_ = PlatformStats{}; }
 
   /// Install a lifecycle observer (nullptr to remove). Not owned.
   void set_observer(PlatformObserver* observer) noexcept { observer_ = observer; }

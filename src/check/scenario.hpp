@@ -8,10 +8,13 @@
 // explorer and --replay rely on.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "agent/platform.hpp"
@@ -32,6 +35,13 @@ enum class FaultKind : std::uint8_t {
   /// (reliable_commit) protocol must retry its way through.
   Drop
 };
+
+/// Command-line and report names (model_check --fault).
+inline constexpr std::array<std::pair<FaultKind, std::string_view>, 3> kFaultNames{{
+    {FaultKind::None, "none"},
+    {FaultKind::Crash, "crash"},
+    {FaultKind::Drop, "drop"},
+}};
 
 struct ScenarioConfig {
   std::size_t servers = 3;

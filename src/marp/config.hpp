@@ -1,7 +1,10 @@
 // MARP protocol configuration.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "quorum/spec.hpp"
@@ -57,6 +60,16 @@ enum class ProtocolMutant : std::uint8_t {
   /// must flag every such mixed-epoch grant set.
   MixedEpoch
 };
+
+/// Command-line and report names (model_check --mutant).
+inline constexpr std::array<std::pair<ProtocolMutant, std::string_view>, 5>
+    kMutantNames{{
+        {ProtocolMutant::None, "none"},
+        {ProtocolMutant::MajorityOffByOne, "majority"},
+        {ProtocolMutant::TieBreakLargestId, "tiebreak"},
+        {ProtocolMutant::SplitQuorum, "split"},
+        {ProtocolMutant::MixedEpoch, "mixedepoch"},
+    }};
 
 /// How the paper's tie rule is applied once an agent has full information
 /// and nobody holds a majority of locking-list heads.

@@ -80,31 +80,4 @@ double Samples::max() const {
   return values_.back();
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  MARP_REQUIRE(hi > lo);
-  MARP_REQUIRE(bins >= 1);
-}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    auto bin = static_cast<std::size_t>((x - lo_) / width_);
-    if (bin >= counts_.size()) bin = counts_.size() - 1;  // fp edge
-    ++counts_[bin];
-  }
-}
-
-double Histogram::bin_lo(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
 }  // namespace marp::metrics

@@ -52,23 +52,4 @@ class Samples {
   void ensure_sorted() const;
 };
 
-/// Fixed-width-bin histogram over [lo, hi); out-of-range goes to under/over.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x) noexcept;
-  std::uint64_t total() const noexcept { return total_; }
-  std::size_t bins() const noexcept { return counts_.size(); }
-  std::uint64_t bin_count(std::size_t i) const { return counts_.at(i); }
-  double bin_lo(std::size_t i) const noexcept;
-  double bin_hi(std::size_t i) const noexcept;
-  std::uint64_t underflow() const noexcept { return underflow_; }
-  std::uint64_t overflow() const noexcept { return overflow_; }
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
-};
-
 }  // namespace marp::metrics

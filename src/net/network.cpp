@@ -77,24 +77,8 @@ void Network::partition(const std::vector<NodeId>& group) {
 
 void Network::heal_partition() { cut_links_.clear(); }
 
-void Network::set_link_faults(NodeId src, NodeId dst, const LinkFaults& faults) {
-  MARP_REQUIRE(src < size() && dst < size());
-  link_faults_[link_key(src, dst)] = faults;
-}
-
-void Network::clear_link_faults() {
-  link_faults_.clear();
-  default_faults_ = LinkFaults{};
-}
-
-const LinkFaults& Network::link_faults(NodeId src, NodeId dst) const {
-  const auto it = link_faults_.find(link_key(src, dst));
-  return it == link_faults_.end() ? default_faults_ : it->second;
-}
-
-bool Network::roll_transfer_loss(NodeId src, NodeId dst) {
-  const LinkFaults& faults = link_faults(src, dst);
-  return faults.drop > 0.0 && rng_.bernoulli(faults.drop);
+bool Network::roll_transfer_loss() {
+  return default_faults_.drop > 0.0 && rng_.bernoulli(default_faults_.drop);
 }
 
 sim::SimTime Network::sample_latency(NodeId src, NodeId dst, std::size_t bytes) {
@@ -138,7 +122,7 @@ void Network::send(Message message) {
     return;
   }
 
-  const LinkFaults& faults = link_faults(message.src, message.dst);
+  const LinkFaults& faults = default_faults_;
   if (faults.any()) {
     // Chaos faults model an adversarial live channel: a fault drop is final
     // (protocols must carry their own retries), duplication delivers an

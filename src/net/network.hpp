@@ -128,20 +128,15 @@ class Network {
   void set_loss_mode(LossMode mode) { loss_mode_ = mode; }
   void set_retransmit_timeout(sim::SimTime timeout) { retransmit_timeout_ = timeout; }
 
-  /// Chaos faults applied to every link without a per-link override.
+  /// Chaos faults applied to every link.
   void set_default_link_faults(const LinkFaults& faults) { default_faults_ = faults; }
-  /// Per-link (directed) fault override; wins over the default.
-  void set_link_faults(NodeId src, NodeId dst, const LinkFaults& faults);
-  /// Drop all per-link overrides and reset the default to fault-free.
-  void clear_link_faults();
-  /// Faults in effect on src→dst (override if present, else the default).
-  const LinkFaults& link_faults(NodeId src, NodeId dst) const;
+  /// Reset every link to fault-free.
+  void clear_link_faults() { default_faults_ = LinkFaults{}; }
 
   /// One seeded loss roll for a non-message transfer (agent migration
-  /// frames) crossing src→dst; true = the frame is lost in flight. Uses the
-  /// link's `drop` fault probability so migrations and messages see the
-  /// same loss regime.
-  bool roll_transfer_loss(NodeId src, NodeId dst);
+  /// frames); true = the frame is lost in flight. Uses the links' `drop`
+  /// fault probability so migrations and messages see the same loss regime.
+  bool roll_transfer_loss();
 
   /// Send one message. Delivery is scheduled after a sampled latency; the
   /// message is dropped if the source is down, the link is cut, or the
@@ -162,7 +157,6 @@ class Network {
   sim::SimTime sample_latency(NodeId src, NodeId dst, std::size_t bytes);
 
   const TrafficStats& stats() const noexcept { return stats_; }
-  void reset_stats() { stats_ = TrafficStats{}; }
 
   /// Install a transport observer (nullptr to remove). Not owned.
   void set_observer(NetworkObserver* observer) noexcept { observer_ = observer; }
@@ -216,7 +210,6 @@ class Network {
   LossMode loss_mode_ = LossMode::Drop;
   sim::SimTime retransmit_timeout_ = sim::SimTime::millis(200);
   LinkFaults default_faults_;
-  std::unordered_map<std::uint64_t, LinkFaults> link_faults_;
   TrafficStats stats_;
   NetworkObserver* observer_ = nullptr;
   transport::Transport* transport_ = nullptr;

@@ -2,8 +2,11 @@
 // it without pulling the quorum machinery into every config include.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
+#include <utility>
 
 namespace marp::quorum {
 
@@ -38,12 +41,17 @@ struct QuorumSpec {
   Geometry lease_inner = Geometry::Grid;
 };
 
-inline const char* geometry_name(Geometry g) {
-  switch (g) {
-    case Geometry::Majority: return "majority";
-    case Geometry::Tree: return "tree";
-    case Geometry::Grid: return "grid";
-    case Geometry::ReadLease: return "read-lease";
+/// Command-line and report names.
+inline constexpr std::array<std::pair<Geometry, std::string_view>, 4> kGeometryNames{{
+    {Geometry::Majority, "majority"},
+    {Geometry::Tree, "tree"},
+    {Geometry::Grid, "grid"},
+    {Geometry::ReadLease, "read-lease"},
+}};
+
+constexpr std::string_view geometry_name(Geometry g) {
+  for (const auto& [geometry, name] : kGeometryNames) {
+    if (geometry == g) return name;
   }
   return "?";
 }

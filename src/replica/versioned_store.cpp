@@ -18,7 +18,7 @@ bool VersionedStore::apply(const std::string& key, std::string value, Version ve
   if (!(version > slot.version)) return false;
   slot.value = std::move(value);
   slot.version = version;
-  if (record_history_) history_.push_back({key, version});
+  history_.push_back({key, version});
   if (observer_) observer_(key, slot);
   return true;
 }

@@ -79,7 +79,6 @@ class VersionedStore {
     Version version;
   };
   const std::vector<AppliedRecord>& history() const noexcept { return history_; }
-  void set_record_history(bool on) noexcept { record_history_ = on; }
 
   /// Fired after every successful apply() with the stored value — the hook a
   /// real node uses to journal committed writes to disk. Not fired by
@@ -92,7 +91,6 @@ class VersionedStore {
  private:
   std::map<std::string, VersionedValue> items_;
   std::vector<AppliedRecord> history_;
-  bool record_history_ = true;
   ApplyObserver observer_;
 };
 

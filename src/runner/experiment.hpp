@@ -4,10 +4,13 @@
 // the consistency audit.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "agent/platform.hpp"
@@ -32,7 +35,22 @@ enum class ProtocolKind : std::uint8_t {
 
 const char* protocol_name(ProtocolKind kind);
 
+/// Command-line names (marp_sim --protocol); protocol_name() is the
+/// display name reports print.
+inline constexpr std::array<std::pair<ProtocolKind, std::string_view>, 6>
+    kProtocolNames{{
+        {ProtocolKind::Marp, "marp"},
+        {ProtocolKind::MpMcv, "mcv"},
+        {ProtocolKind::WeightedVoting, "wv"},
+        {ProtocolKind::AvailableCopy, "ac"},
+        {ProtocolKind::PrimaryCopy, "pc"},
+        {ProtocolKind::Tsae, "tsae"},
+    }};
+
 enum class NetworkKind : std::uint8_t { Lan, Wan };
+
+inline constexpr std::array<std::pair<NetworkKind, std::string_view>, 2>
+    kNetworkNames{{{NetworkKind::Lan, "lan"}, {NetworkKind::Wan, "wan"}}};
 
 struct FailureEvent {
   sim::SimTime at;

@@ -1,9 +1,10 @@
 #include "trace/export.hpp"
 
-#include <cstdio>
 #include <map>
 #include <ostream>
 #include <string>
+
+#include "trace/json.hpp"
 
 namespace marp::trace {
 
@@ -12,34 +13,12 @@ namespace {
 constexpr int kServersPid = 1;
 constexpr int kAgentsPid = 2;
 
-std::string escaped(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void write_metadata(std::ostream& os, const char* what, int pid, int tid,
                     const std::string& name, bool& first) {
   if (!first) os << ",\n";
   first = false;
   os << R"({"name":")" << what << R"(","ph":"M","pid":)" << pid << ",\"tid\":"
-     << tid << R"(,"args":{"name":")" << escaped(name) << "\"}}";
+     << tid << R"(,"args":{"name":")" << json_escape(name) << "\"}}";
 }
 
 const char* outcome_name(std::uint64_t outcome) {
@@ -73,7 +52,7 @@ void write_args(std::ostream& os, const SpanRecord& record) {
   if (agent_track(record.kind)) {
     field("node") << record.node;
   } else if (record.agent != agent::AgentId{}) {
-    field("agent") << '"' << escaped(record.agent.to_string()) << '"';
+    field("agent") << '"' << json_escape(record.agent.to_string()) << '"';
   }
   switch (record.kind) {
     case SpanKind::Migration:
@@ -185,7 +164,7 @@ void write_chrome_trace(std::ostream& os, const Tracer& tracer,
       for (const auto& [name, value] : counters->entries()) {
         if (!first_counter) os << ',';
         first_counter = false;
-        os << '"' << escaped(name) << "\":" << value;
+        os << '"' << json_escape(name) << "\":" << value;
       }
       os << '}';
     }

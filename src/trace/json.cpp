@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cstdio>
 #include <stdexcept>
 
 namespace marp::trace {
@@ -135,6 +136,7 @@ class Parser {
       const char c = peek();
       ++pos_;
       if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) fail("raw control byte in string");
       if (c != '\\') {
         out.push_back(c);
         continue;
@@ -210,6 +212,28 @@ class Parser {
 
 JsonValue parse_json(std::string_view text) {
   return Parser(text).parse_document();
+}
+
+std::string json_escape(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size());
+  for (const char c : raw) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 }  // namespace marp::trace

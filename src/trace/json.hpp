@@ -1,4 +1,5 @@
-// Minimal JSON document model + recursive-descent parser.
+// Minimal JSON document model + recursive-descent parser, and the string
+// escaper every JSON writer in the repository uses.
 //
 // Exists so the trace exporter's output can be validated without external
 // dependencies: the round-trip unit test and tools/trace_check both parse
@@ -35,7 +36,12 @@ struct JsonValue {
 };
 
 /// Parses exactly one JSON document (trailing whitespace allowed, trailing
-/// garbage is an error). Throws std::runtime_error on malformed input.
+/// garbage is an error). Throws std::runtime_error on malformed input,
+/// including a raw control byte inside a string.
 JsonValue parse_json(std::string_view text);
+
+/// `raw` as the inside of a JSON string literal: quote, backslash and every
+/// control byte escaped, all other bytes copied.
+std::string json_escape(std::string_view raw);
 
 }  // namespace marp::trace

@@ -1,7 +1,6 @@
 #include "trace/merge.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <map>
 #include <ostream>
@@ -41,28 +40,6 @@ std::string agent_name(const AgentKey& key) {
   id.created_us = key.created_us;
   id.seq = key.seq;
   return id.to_string();
-}
-
-std::string escaped(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// One already-aligned event queued for emission (two passes: the global
@@ -230,7 +207,7 @@ MergeResult write_merged_trace(std::ostream& os,
 
       std::string args = "\"node\":" + std::to_string(s.node);
       if (has_agent(s)) {
-        args += ",\"agent\":\"" + escaped(agent_name(agent_key(s))) + '"';
+        args += ",\"agent\":\"" + json_escape(agent_name(agent_key(s))) + '"';
       }
 
       if (open) {
@@ -311,7 +288,7 @@ MergeResult write_merged_trace(std::ostream& os,
     if (!first) os << ",\n";
     first = false;
     os << R"({"name":")" << what << R"(","ph":"M","pid":)" << pid
-       << ",\"tid\":" << tid << R"(,"args":{"name":")" << escaped(name) << "\"}}";
+       << ",\"tid\":" << tid << R"(,"args":{"name":")" << json_escape(name) << "\"}}";
   };
   for (const rpc::NodeTrace& t : traces) {
     if (t.node >= n) continue;

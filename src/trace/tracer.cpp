@@ -301,12 +301,6 @@ void Tracer::ll_enqueue(const agent::AgentId& id, net::NodeId node,
         SpanRecord{now_us(), 0, SpanKind::LockListWait, node, id, group, 0});
 }
 
-void Tracer::ll_remove(const agent::AgentId& id, net::NodeId node,
-                       std::uint64_t group) {
-  if (!enabled_) return;
-  end({SpanKind::LockListWait, id, node, group});
-}
-
 void Tracer::ll_remove_all(const agent::AgentId& id, net::NodeId node) {
   if (!enabled_) return;
   end_matching([&](const OpenKey& key) {

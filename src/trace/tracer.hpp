@@ -154,7 +154,6 @@ class Tracer final : public agent::PlatformObserver, public net::NetworkObserver
   void batch_open(net::NodeId node);
   void batch_dispatch(net::NodeId node, std::size_t batch_size);
   void ll_enqueue(const agent::AgentId& id, net::NodeId node, std::uint64_t group);
-  void ll_remove(const agent::AgentId& id, net::NodeId node, std::uint64_t group);
   /// COMMIT/RELEASE/purge swept every Locking-List entry `id` held at
   /// `node`, whichever groups they were in.
   void ll_remove_all(const agent::AgentId& id, net::NodeId node);

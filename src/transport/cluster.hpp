@@ -113,8 +113,6 @@ class ControlClient {
   ControlClient(Endpoint endpoint, net::NodeId node, RetryPolicy policy = {})
       : endpoint_(std::move(endpoint)), node_(node), policy_(policy) {}
 
-  void set_retry_policy(RetryPolicy policy) { policy_ = policy; }
-
   bool ping();
   std::optional<rpc::NodeStatus> status();
   std::optional<rpc::NodeDump> dump();

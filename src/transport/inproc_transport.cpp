@@ -49,7 +49,7 @@ bool InProcTransport::send_message(const net::Message& message) {
   const serial::Bytes encoded =
       rpc::encode_frame(rpc::FrameType::AppMessage, local_, message.dst, ++seq_,
                         rpc::encode_app_body(message), mesh_.checksum(),
-                        incarnation_, tp);
+                        kIncarnation, tp);
   return mesh_.deliver(local_, message.dst, encoded, rpc::FrameType::AppMessage);
 }
 
@@ -59,7 +59,7 @@ bool InProcTransport::send_agent_frame(net::NodeId dst, const serial::Bytes& fra
   const rpc::TraceContext* tp = stamp(&trace, trace_session, seq_ + 1);
   const serial::Bytes encoded = rpc::encode_frame(
       rpc::FrameType::AgentTransfer, local_, dst, ++seq_, frame, mesh_.checksum(),
-      incarnation_, tp);
+      kIncarnation, tp);
   return mesh_.deliver(local_, dst, encoded, rpc::FrameType::AgentTransfer);
 }
 
@@ -69,15 +69,15 @@ bool InProcTransport::send_agent_ack(net::NodeId dst, std::uint64_t token) {
   const serial::Bytes encoded =
       rpc::encode_frame(rpc::FrameType::AgentTransferAck, local_, dst, ++seq_,
                         rpc::encode_transfer_ack_body(token), mesh_.checksum(),
-                        incarnation_, tp);
+                        kIncarnation, tp);
   return mesh_.deliver(local_, dst, encoded, rpc::FrameType::AgentTransferAck);
 }
 
 bool InProcTransport::send_announce(net::NodeId dst) {
   const serial::Bytes encoded = rpc::encode_frame(
       rpc::FrameType::Announce, local_, dst, ++seq_,
-      rpc::encode_announce_body({local_, incarnation_}), mesh_.checksum(),
-      incarnation_);
+      rpc::encode_announce_body({local_, kIncarnation}), mesh_.checksum(),
+      kIncarnation);
   return mesh_.deliver(local_, dst, encoded, rpc::FrameType::Announce);
 }
 

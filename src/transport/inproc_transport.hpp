@@ -42,10 +42,6 @@ class InProcTransport final : public NodeTransport {
   bool send_announce(net::NodeId dst) override;
   void set_trace_clock(TraceClock clock) override;
 
-  /// Incarnation stamped into outbound frames and Announce bodies (RealNode
-  /// sets this when it owns the transport; defaults to first life).
-  void set_incarnation(std::uint16_t incarnation) { incarnation_ = incarnation; }
-
   net::NodeId local() const noexcept { return local_; }
 
  private:
@@ -61,7 +57,8 @@ class InProcTransport final : public NodeTransport {
   InProcMesh& mesh_;
   net::NodeId local_;
   std::uint64_t seq_ = 0;
-  std::uint16_t incarnation_ = 0;
+  /// Stamped into outbound frames: an in-process mesh node has one life.
+  static constexpr std::uint16_t kIncarnation = 0;
 
   mutable std::mutex mutex_;
   std::condition_variable arrived_;  ///< a frame was queued or wake() called

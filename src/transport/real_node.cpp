@@ -214,11 +214,6 @@ void RealNode::begin_workload() {
   }
 }
 
-void RealNode::sync_pull_tick() {
-  catchup_pulls_ += protocol_.server(config_.node).sync_pull(1);
-  sim_.schedule(config_.sync_pull_interval, [this] { sync_pull_tick(); });
-}
-
 void RealNode::checkpoint_tick() {
   checkpoint_now();
   sim_.schedule(config_.checkpoint_interval, [this] { checkpoint_tick(); });
@@ -283,9 +278,6 @@ void RealNode::driver_loop() {
           protocol_.server(config_.node).sync_pull(config_.endpoints.size() - 1);
       sim_.schedule(config_.catchup_delay, [this] { begin_workload(); });
     });
-    if (config_.sync_pull_interval.as_micros() > 0) {
-      sim_.schedule(config_.sync_pull_interval, [this] { sync_pull_tick(); });
-    }
     if (durable_ && config_.checkpoint_interval.as_micros() > 0) {
       sim_.schedule(config_.checkpoint_interval, [this] { checkpoint_tick(); });
     }

@@ -100,10 +100,6 @@ struct RealNodeConfig {
   /// Wall time a reincarnated node spends catching up (announce + anti-
   /// entropy pull) before it resumes originating sessions.
   sim::SimTime catchup_delay = sim::SimTime::millis(500);
-  /// Recurring anti-entropy pull from one random live peer (zero = off).
-  /// Unlike config.marp.anti_entropy_interval this is driven by the node
-  /// itself, so the N−1 shadow servers stay inert and the sim queue drains.
-  sim::SimTime sync_pull_interval = sim::SimTime::zero();
   /// Periodic durable checkpoint cadence (zero = journal-only; a final
   /// checkpoint is still written at clean shutdown).
   sim::SimTime checkpoint_interval = sim::SimTime::zero();
@@ -179,7 +175,6 @@ class RealNode {
   void begin_workload();
   void checkpoint_now();
   void checkpoint_tick();
-  void sync_pull_tick();
   void watchdog_tick();
   rpc::NodeStatus status_locked();
   rpc::NodeDump dump_locked();

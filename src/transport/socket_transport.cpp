@@ -651,10 +651,4 @@ SocketTransport::RpcStatus SocketTransport::rpc_call_ex(
   return status;
 }
 
-bool SocketTransport::rpc_call(const Endpoint& endpoint,
-                               const serial::Bytes& request, rpc::Frame* reply,
-                               std::chrono::milliseconds timeout) {
-  return rpc_call_ex(endpoint, request, reply, timeout) == RpcStatus::Ok;
-}
-
 }  // namespace marp::transport

@@ -130,11 +130,6 @@ class SocketTransport final : public NodeTransport {
       const Endpoint& endpoint, const serial::Bytes& request, rpc::Frame* reply,
       std::chrono::milliseconds timeout = std::chrono::seconds(10));
 
-  /// Boolean convenience over rpc_call_ex (legacy call sites).
-  static bool rpc_call(const Endpoint& endpoint, const serial::Bytes& request,
-                       rpc::Frame* reply,
-                       std::chrono::milliseconds timeout = std::chrono::seconds(10));
-
  private:
   /// Outbound connection to a peer; written by any sending thread.
   struct Conn {

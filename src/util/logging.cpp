@@ -1,20 +1,14 @@
 #include "util/logging.hpp"
 
-#include <atomic>
 #include <iostream>
 
 namespace marp::log {
 
 namespace {
-std::atomic<Level> g_threshold{Level::Warn};
 std::mutex g_sink_mutex;
 }  // namespace
 
-Level threshold() noexcept { return g_threshold.load(std::memory_order_relaxed); }
-
-void set_threshold(Level level) noexcept {
-  g_threshold.store(level, std::memory_order_relaxed);
-}
+Level threshold() noexcept { return Level::Warn; }
 
 const char* level_name(Level level) noexcept {
   switch (level) {

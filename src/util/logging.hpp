@@ -2,8 +2,7 @@
 //
 // The simulator is deterministic and single-threaded per run, but sweeps run
 // many simulations concurrently, so the sink is guarded by a mutex. Logging
-// defaults to Warn so benchmark output stays clean; tests and examples can
-// raise the level.
+// is fixed at Warn so benchmark output stays clean.
 #pragma once
 
 #include <mutex>
@@ -16,7 +15,6 @@ enum class Level : int { Trace = 0, Debug = 1, Info = 2, Warn = 3, Error = 4, Of
 
 /// Global threshold; messages below it are discarded cheaply.
 Level threshold() noexcept;
-void set_threshold(Level level) noexcept;
 
 /// Emit one line to stderr (thread-safe). `tag` identifies the subsystem.
 void write(Level level, const std::string& tag, const std::string& message);

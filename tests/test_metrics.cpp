@@ -61,23 +61,6 @@ TEST(Samples, ExactPercentiles) {
   EXPECT_DOUBLE_EQ(samples.mean(), 50.5);
 }
 
-TEST(Histogram, BinsAndOverflow) {
-  metrics::Histogram histogram(0.0, 10.0, 5);
-  histogram.add(-1.0);
-  histogram.add(0.0);
-  histogram.add(1.9);
-  histogram.add(5.0);
-  histogram.add(10.0);
-  histogram.add(99.0);
-  EXPECT_EQ(histogram.total(), 6u);
-  EXPECT_EQ(histogram.underflow(), 1u);
-  EXPECT_EQ(histogram.overflow(), 2u);
-  EXPECT_EQ(histogram.bin_count(0), 2u);  // 0.0 and 1.9
-  EXPECT_EQ(histogram.bin_count(2), 1u);  // 5.0
-  EXPECT_DOUBLE_EQ(histogram.bin_lo(2), 4.0);
-  EXPECT_DOUBLE_EQ(histogram.bin_hi(2), 6.0);
-}
-
 // Property: merging any split of a sample stream must agree with feeding
 // the whole stream to one accumulator — count, mean, variance, min, max —
 // regardless of where the split falls (including empty halves).
@@ -143,32 +126,6 @@ TEST(Samples, ExtremePercentilesEqualMinAndMax) {
   EXPECT_DOUBLE_EQ(samples.percentile(100), samples.max());
   // p50 of {−3, 0.5, 4, 4, 9, 100} interpolates between the middle pair.
   EXPECT_DOUBLE_EQ(samples.percentile(50), 4.0);
-}
-
-TEST(Histogram, ExactBoundaryValues) {
-  // [0, 10) in 5 bins of width 2: lo lands in bin 0, hi is overflow (the
-  // interval is half-open), interior bin edges land in the bin they open.
-  metrics::Histogram histogram(0.0, 10.0, 5);
-  histogram.add(0.0);  // == lo
-  EXPECT_EQ(histogram.bin_count(0), 1u);
-  EXPECT_EQ(histogram.underflow(), 0u);
-
-  histogram.add(10.0);  // == hi
-  EXPECT_EQ(histogram.overflow(), 1u);
-
-  for (std::size_t edge = 1; edge < 5; ++edge) {
-    histogram.add(static_cast<double>(2 * edge));  // 2, 4, 6, 8
-    EXPECT_EQ(histogram.bin_count(edge), 1u) << "edge " << 2 * edge;
-  }
-  // Just below an edge stays in the lower bin.
-  histogram.add(std::nextafter(2.0, 0.0));
-  EXPECT_EQ(histogram.bin_count(0), 2u);
-  EXPECT_EQ(histogram.total(), 7u);
-  // Bin bounds tile [lo, hi] without gaps.
-  for (std::size_t i = 0; i < histogram.bins(); ++i) {
-    EXPECT_DOUBLE_EQ(histogram.bin_lo(i), 2.0 * static_cast<double>(i));
-    EXPECT_DOUBLE_EQ(histogram.bin_hi(i), 2.0 * static_cast<double>(i + 1));
-  }
 }
 
 TEST(Table, RendersAlignedAndCsv) {

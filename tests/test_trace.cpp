@@ -301,6 +301,24 @@ TEST(TraceJson, ParserHandlesEscapesAndRejectsGarbage) {
   EXPECT_THROW(trace::parse_json("{"), std::runtime_error);
   EXPECT_THROW(trace::parse_json("[1,]"), std::runtime_error);
   EXPECT_THROW(trace::parse_json("{} trailing"), std::runtime_error);
+  // JSON forbids a raw control byte inside a string.
+  EXPECT_THROW(trace::parse_json("\"a\tb\""), std::runtime_error);
+}
+
+// Every JSON writer escapes through json_escape, so every ASCII byte must
+// come back out of parse_json unchanged, and no control byte may stay raw.
+TEST(TraceJson, EscapeRoundTripsEveryAsciiByte) {
+  std::string all;
+  for (int byte = 0; byte < 0x80; ++byte) {
+    const std::string raw = "<" + std::string(1, static_cast<char>(byte)) + ">";
+    const std::string escaped = trace::json_escape(raw);
+    for (const char c : escaped) {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "byte " << byte;
+    }
+    EXPECT_EQ(trace::parse_json("\"" + escaped + "\"").str, raw) << "byte " << byte;
+    all += raw;
+  }
+  EXPECT_EQ(trace::parse_json("\"" + trace::json_escape(all) + "\"").str, all);
 }
 
 }  // namespace

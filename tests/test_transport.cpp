@@ -601,8 +601,9 @@ TEST(SocketTransport, RpcCallRoundTripsThroughTheReplyPath) {
   const serial::Bytes request =
       rpc::encode_frame(rpc::FrameType::ControlRequest, rpc::kControlNode, 0, 99, args);
   rpc::Frame reply;
-  ASSERT_TRUE(SocketTransport::rpc_call(endpoints[0], request, &reply,
-                                        std::chrono::seconds(10)));
+  ASSERT_EQ(SocketTransport::rpc_call_ex(endpoints[0], request, &reply,
+                                         std::chrono::seconds(10)),
+            SocketTransport::RpcStatus::Ok);
   EXPECT_EQ(reply.type(), rpc::FrameType::ControlReply);
   EXPECT_EQ(reply.header.seq, 99u);
   EXPECT_EQ(reply.body, args);

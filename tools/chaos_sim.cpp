@@ -19,6 +19,7 @@
 // failing seed on stderr.
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,27 +27,12 @@
 #include "fault/plan.hpp"
 #include "quorum/spec.hpp"
 #include "runner/experiment.hpp"
+#include "trace/json.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
 using namespace marp;
-
-[[noreturn]] void usage(const char* argv0, int code) {
-  std::ostream& os = code == 0 ? std::cout : std::cerr;
-  os << "usage: " << argv0 << " [flags]\n"
-     << "  --seeds N        scenarios in the sweep / runs per matrix cell (default 200)\n"
-     << "  --start-seed N   first seed of the sweep (default 1)\n"
-     << "  --servers N      replicas per scenario (default 5)\n"
-     << "  --quorum GEOM    majority|tree|grid|read-lease geometry (default majority)\n"
-     << "  --expect-reselection  fail unless the sweep exercised at least one\n"
-     << "                   quorum fallback re-selection (geometry sweeps)\n"
-     << "  --membership     partial replication (rf=3) with one spare server;\n"
-     << "                   the fault plan becomes seeded join/leave churn\n"
-     << "  --matrix         run the drop x duplicate x reorder fault matrix\n"
-     << "  --replay SEED    re-run one sweep scenario and print its plan\n"
-     << "  --out FILE       write the JSON report to FILE (default stdout)\n";
-  std::exit(code);
-}
 
 /// The chaos scenario for `seed`: a short write-heavy workload with the
 /// hardening knobs on, plus a random fault plan whose destructive actions
@@ -136,16 +122,6 @@ RunVerdict judge(const runner::ExperimentConfig& config,
   return verdict;
 }
 
-std::string json_escape(const std::string& in) {
-  std::string out;
-  for (char c : in) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') { out += "\\n"; continue; }
-    out += c;
-  }
-  return out;
-}
-
 void emit_anomalies(std::ostream& os, const core::ProtocolAnomalies& a) {
   os << "{\"stale_acks\":" << a.stale_acks
      << ",\"stale_updates\":" << a.stale_updates
@@ -226,10 +202,10 @@ int run_sweep(std::uint64_t start_seed, std::uint64_t seeds,
       ++violations;
       if (first_failing < 0) first_failing = static_cast<std::int64_t>(seed);
       failures << (first_failure ? "" : ",") << "{\"seed\":" << seed
-               << ",\"plan\":\"" << json_escape(config.fault_plan.describe())
+               << ",\"plan\":\"" << trace::json_escape(config.fault_plan.describe())
                << "\",\"problems\":[";
       for (std::size_t i = 0; i < verdict.problems.size(); ++i) {
-        failures << (i ? "," : "") << "\"" << json_escape(verdict.problems[i])
+        failures << (i ? "," : "") << "\"" << trace::json_escape(verdict.problems[i])
                  << "\"";
       }
       failures << "]}";
@@ -373,7 +349,7 @@ int run_replay(std::uint64_t seed, std::size_t servers,
       << ",\"view_changes\":" << result.marp_stats.view_changes
       << ",\"epoch_retours\":" << result.marp_stats.epoch_retours
       << ",\"quorum_reselections\":" << result.marp_stats.quorum_reselections
-      << ",\"plan\":\"" << json_escape(config.fault_plan.describe())
+      << ",\"plan\":\"" << trace::json_escape(config.fault_plan.describe())
       << "\",\"lossy_plan\":" << (config.fault_plan.lossy() ? "true" : "false")
       << ",\"generated\":" << result.generated
       << ",\"answered\":" << result.completed
@@ -390,7 +366,7 @@ int run_replay(std::uint64_t seed, std::size_t servers,
   emit_anomalies(out, result.marp_stats.anomalies);
   out << ",\"ok\":" << (verdict.ok ? "true" : "false") << ",\"problems\":[";
   for (std::size_t i = 0; i < verdict.problems.size(); ++i) {
-    out << (i ? "," : "") << "\"" << json_escape(verdict.problems[i]) << "\"";
+    out << (i ? "," : "") << "\"" << trace::json_escape(verdict.problems[i]) << "\"";
   }
   out << "]}\n";
   return verdict.ok ? 0 : 1;
@@ -406,40 +382,22 @@ int main(int argc, char** argv) {
   bool expect_reselection = false;
   bool membership = false;
   bool matrix = false;
-  std::int64_t replay_seed = -1;
+  std::optional<std::uint64_t> replay_seed;
   std::string out_path;
 
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage(argv[0], 2);
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--help" || flag == "-h") usage(argv[0], 0);
-    else if (flag == "--seeds") seeds = std::stoull(need_value(i));
-    else if (flag == "--start-seed") start_seed = std::stoull(need_value(i));
-    else if (flag == "--servers") servers = std::stoul(need_value(i));
-    else if (flag == "--quorum") {
-      const std::string name = need_value(i);
-      if (name == "majority") quorum.geometry = quorum::Geometry::Majority;
-      else if (name == "tree") quorum.geometry = quorum::Geometry::Tree;
-      else if (name == "grid") quorum.geometry = quorum::Geometry::Grid;
-      else if (name == "read-lease") quorum.geometry = quorum::Geometry::ReadLease;
-      else {
-        std::cerr << "unknown quorum geometry: " << name << "\n";
-        usage(argv[0], 2);
-      }
-    }
-    else if (flag == "--expect-reselection") expect_reselection = true;
-    else if (flag == "--membership") membership = true;
-    else if (flag == "--matrix") matrix = true;
-    else if (flag == "--replay") replay_seed = std::stoll(need_value(i));
-    else if (flag == "--out") out_path = need_value(i);
-    else {
-      std::cerr << "unknown flag: " << flag << "\n";
-      usage(argv[0], 2);
-    }
-  }
+  util::Flags flags("chaos_sim");
+  flags.add("--seeds", "N", seeds, "scenarios in the sweep / runs per matrix cell")
+      .add("--start-seed", "N", start_seed, "first seed of the sweep")
+      .add("--servers", "N", servers, "replicas per scenario")
+      .choice("--quorum", quorum.geometry, quorum::kGeometryNames, "quorum geometry")
+      .toggle("--expect-reselection", expect_reselection, true,
+              "fail unless some quorum fallback re-selection fired")
+      .toggle("--membership", membership, true,
+              "rf=3 with one spare server; the faults become join/leave churn")
+      .toggle("--matrix", matrix, true, "run the drop x duplicate x reorder fault matrix")
+      .add("--replay", "SEED", replay_seed, "re-run one sweep scenario and print its plan")
+      .add("--out", "FILE", out_path, "write the JSON report to FILE (default stdout)");
+  flags.parse(argc, argv);
 
   std::ofstream file;
   if (!out_path.empty()) {
@@ -451,10 +409,7 @@ int main(int argc, char** argv) {
   }
   std::ostream& out = out_path.empty() ? std::cout : file;
 
-  if (replay_seed >= 0) {
-    return run_replay(static_cast<std::uint64_t>(replay_seed), servers, quorum,
-                      membership, out);
-  }
+  if (replay_seed) return run_replay(*replay_seed, servers, quorum, membership, out);
   if (matrix) return run_matrix(start_seed, seeds, servers, out);
   return run_sweep(start_seed, seeds, servers, quorum, expect_reselection,
                    membership, out);

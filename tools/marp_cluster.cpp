@@ -51,16 +51,17 @@
 #include <optional>
 
 #include "fault/process_chaos.hpp"
-#include "marp/config.hpp"
 #include "membership/placement.hpp"
 #include "shard/router.hpp"
 #include "trace/merge.hpp"
 #include "transport/cluster.hpp"
+#include "transport/node_flags.hpp"
 
 namespace {
 
 using marp::transport::ClusterSpec;
 using marp::transport::ControlClient;
+using marp::transport::RealNodeConfig;
 using marp::transport::RetryPolicy;
 using Clock = std::chrono::steady_clock;
 
@@ -75,90 +76,26 @@ std::string node_binary_path() {
   return (slash == std::string::npos ? "" : path.substr(0, slash + 1)) + "marp_node";
 }
 
-/// Durable/recovery knobs forwarded to every marp_node (chaos mode).
-struct NodeOptions {
-  std::string state_root;  ///< empty = volatile nodes (pre-chaos behaviour)
-  long long epoch_us = 0;  ///< shared virtual-clock epoch (monotonic µs)
-  long checkpoint_ms = 250;
-  long session_retry_ms = 3000;
-  long agent_lease_ms = 4000;
-  long catchup_ms = 500;
-  /// Per-node span ring size; 0 = tracing off (no wire tails at all).
-  unsigned long long trace_capacity = 0;
-  /// Node i gets trace skew i × this — distinct, known clock offsets so the
-  /// merged timeline demonstrably comes out of the alignment, not luck.
-  long long trace_skew_step_us = 0;
-};
-
-pid_t spawn_node(const std::string& binary, const ClusterSpec& spec,
-                 const std::string& dir, std::size_t node,
-                 const std::string& log_path, const NodeOptions& opts,
-                 std::uint32_t incarnation) {
+pid_t spawn_node(const std::string& binary, const RealNodeConfig& child,
+                 const std::string& log_path) {
+  std::vector<std::string> args = marp::transport::node_arguments(child);
+  args.insert(args.begin(), binary);
+  std::vector<char*> argv;
+  argv.reserve(args.size() + 1);
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
   const pid_t pid = ::fork();
   if (pid != 0) return pid;  // parent, or -1 on fork failure (caller checks)
   // Child: redirect both streams to the node's log, exec marp_node. A
   // reincarnation appends so the previous life's log survives.
   const int log_flags =
-      O_WRONLY | O_CREAT | (incarnation == 0 ? O_TRUNC : O_APPEND);
+      O_WRONLY | O_CREAT | (child.incarnation == 0 ? O_TRUNC : O_APPEND);
   const int log_fd = ::open(log_path.c_str(), log_flags, 0644);
   if (log_fd >= 0) {
     ::dup2(log_fd, 1);
     ::dup2(log_fd, 2);
     ::close(log_fd);
   }
-  std::vector<std::string> args = {
-      binary,
-      "--node", std::to_string(node),
-      "--nodes", std::to_string(spec.nodes),
-      "--dir", dir,
-      // Spares start outside the view and originate nothing until joined;
-      // their workload share would otherwise stall behind the epoch fence.
-      "--sessions",
-      std::to_string(spec.membership_rf > 0 && spec.initial_members > 0 &&
-                             node >= spec.initial_members
-                         ? 0
-                         : spec.sessions_per_node),
-      "--keys", std::to_string(spec.keys_per_origin),
-      "--seed", std::to_string(spec.seed + node),
-  };
-  if (spec.membership_rf > 0) {
-    args.push_back("--membership-rf");
-    args.push_back(std::to_string(spec.membership_rf));
-    args.push_back("--initial-members");
-    args.push_back(std::to_string(spec.initial_members));
-  }
-  if (spec.shared_keys) args.push_back("--shared");
-  if (spec.send_loss > 0.0) {
-    args.push_back("--loss");
-    args.push_back(std::to_string(spec.send_loss));
-  }
-  if (opts.trace_capacity > 0) {
-    args.push_back("--trace");
-    args.push_back(std::to_string(opts.trace_capacity));
-    if (opts.trace_skew_step_us != 0) {
-      args.push_back("--trace-skew-us");
-      args.push_back(std::to_string(opts.trace_skew_step_us *
-                                    static_cast<long long>(node)));
-    }
-  }
-  if (!opts.state_root.empty()) {
-    const auto push = [&](const char* flag, long long value) {
-      args.push_back(flag);
-      args.push_back(std::to_string(value));
-    };
-    args.push_back("--state-dir");
-    args.push_back(opts.state_root + "/node" + std::to_string(node));
-    push("--incarnation", incarnation);
-    push("--epoch-us", opts.epoch_us);
-    push("--checkpoint-ms", opts.checkpoint_ms);
-    push("--session-retry-ms", opts.session_retry_ms);
-    push("--agent-lease-ms", opts.agent_lease_ms);
-    push("--catchup-ms", opts.catchup_ms);
-  }
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (std::string& arg : args) argv.push_back(arg.data());
-  argv.push_back(nullptr);
   ::execv(binary.c_str(), argv.data());
   std::perror("execv");
   ::_exit(127);
@@ -175,27 +112,11 @@ void dump_log(const std::string& log_path) {
 
 /// One scripted membership change, fired over the ViewChange RPC.
 struct ChurnEvent {
-  long at_ms = 0;  ///< wall-clock offset from cluster launch
+  marp::sim::SimTime at;  ///< wall-clock offset from cluster launch
   std::uint32_t node = 0;
   bool join = false;
   bool fired = false;
 };
-
-/// Parse "MS:NODE" (e.g. --join-at 2000:4).
-ChurnEvent parse_churn(const char* text, bool join) {
-  const std::string s(text);
-  const std::size_t colon = s.find(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= s.size()) {
-    std::fprintf(stderr, "marp_cluster: expected MS:NODE, got '%s'\n", text);
-    std::exit(2);
-  }
-  ChurnEvent event;
-  event.at_ms = std::strtol(s.substr(0, colon).c_str(), nullptr, 10);
-  event.node = static_cast<std::uint32_t>(
-      std::strtoul(s.substr(colon + 1).c_str(), nullptr, 10));
-  event.join = join;
-  return event;
-}
 
 /// One supervised marp_node process across its lives.
 struct Child {
@@ -224,109 +145,89 @@ int main(int argc, char** argv) {
   long hung_ms = 3000;             ///< no Heartbeat reply within this = dead
   bool durable = false;            ///< state dirs even without kills
 
-  // Dynamic membership churn script.
+  // Dynamic membership churn script, in command-line order.
   std::vector<ChurnEvent> churn;
+  const auto churn_event = [&churn](bool join) {
+    return [&churn, join](const marp::util::NodeEvent& event) {
+      churn.push_back({event.at, event.node, join});
+    };
+  };
 
   // Distributed tracing.
-  std::string trace_out;        ///< merged Perfetto trace file
+  std::string trace_path;       ///< merged Perfetto trace file
   std::string calibration_out;  ///< per-link latency distributions (JSON)
-  unsigned long long trace_capacity = 1ull << 18;
-  long long trace_skew_step_us = 0;
+  std::size_t trace_capacity = 1u << 18;
+  std::int64_t trace_skew_step_us = 0;
 
-  const auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) std::exit(2);
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--nodes") spec.nodes = std::strtoul(next(i), nullptr, 10);
-    else if (arg == "--sessions") spec.sessions_per_node = std::strtoull(next(i), nullptr, 10);
-    else if (arg == "--keys") spec.keys_per_origin = std::strtoull(next(i), nullptr, 10);
-    else if (arg == "--shared") spec.shared_keys = true;
-    else if (arg == "--seed") spec.seed = std::strtoull(next(i), nullptr, 10);
-    else if (arg == "--loss") spec.send_loss = std::strtod(next(i), nullptr);
-    else if (arg == "--timeout-s") timeout_s = std::strtol(next(i), nullptr, 10);
-    else if (arg == "--dir") dir = next(i);
-    else if (arg == "--check-sim") check_sim = true;
-    else if (arg == "--expect-retransmits") expect_retransmits = true;
-    else if (arg == "--chaos-kills") chaos_kills = static_cast<std::uint32_t>(std::strtoul(next(i), nullptr, 10));
-    else if (arg == "--chaos-window-ms") chaos_window_ms = std::strtol(next(i), nullptr, 10);
-    else if (arg == "--max-restarts") max_restarts = static_cast<std::uint32_t>(std::strtoul(next(i), nullptr, 10));
-    else if (arg == "--heartbeat-ms") heartbeat_ms = std::strtol(next(i), nullptr, 10);
-    else if (arg == "--hung-ms") hung_ms = std::strtol(next(i), nullptr, 10);
-    else if (arg == "--durable") durable = true;
-    else if (arg == "--membership-rf") spec.membership_rf = static_cast<std::uint32_t>(std::strtoul(next(i), nullptr, 10));
-    else if (arg == "--initial-members") spec.initial_members = std::strtoul(next(i), nullptr, 10);
-    else if (arg == "--join-at") churn.push_back(parse_churn(next(i), true));
-    else if (arg == "--leave-at") churn.push_back(parse_churn(next(i), false));
-    else if (arg == "--trace-out") trace_out = next(i);
-    else if (arg == "--calibration-out") calibration_out = next(i);
-    else if (arg == "--trace-capacity") trace_capacity = std::strtoull(next(i), nullptr, 10);
-    else if (arg == "--trace-skew-us") trace_skew_step_us = std::strtoll(next(i), nullptr, 10);
-    else {
-      std::fprintf(stderr,
-                   "usage: marp_cluster [--nodes N] [--sessions S] [--keys K] "
-                   "[--shared] [--seed S] [--loss P] [--timeout-s T] [--dir D] "
-                   "[--check-sim] [--expect-retransmits] [--durable]\n"
-                   "       [--chaos-kills K] [--chaos-window-ms W] "
-                   "[--max-restarts R] [--heartbeat-ms H] [--hung-ms M]\n"
-                   "       [--membership-rf R] [--initial-members N] "
-                   "[--join-at MS:NODE] [--leave-at MS:NODE]\n"
-                   "       [--trace-out F] [--calibration-out F] "
-                   "[--trace-capacity N] [--trace-skew-us STEP]\n");
-      return 2;
-    }
-  }
+  marp::util::Flags flags("marp_cluster");
+  flags.add("--servers", "N", spec.nodes, "marp_node processes")
+      .add("--sessions", "S", spec.sessions_per_node, "update sessions per node")
+      .add("--keys-per-origin", "K", spec.keys_per_origin, "distinct keys per origin")
+      .toggle("--shared", spec.shared_keys, true, "all nodes write the same shared keys")
+      .add("--seed", "S", spec.seed, "workload seed (node I runs seed + I)")
+      .add("--loss", "P", spec.send_loss, "socket-level AppMessage loss probability")
+      .add("--timeout-s", "T", timeout_s, "fail unless the cluster settles within T s")
+      .add("--dir", "DIR", dir,
+           "run directory: sockets, logs, state, traces\n(default: a new /tmp/marp_cluster_XXXXXX)")
+      .toggle("--check-sim", check_sim, true, "must equal the reference simulator (needs --loss 0)")
+      .toggle("--expect-retransmits", expect_retransmits, true,
+              "fail unless loss hit and reliable COMMIT retransmitted")
+      .toggle("--durable", durable, true, "durable nodes even without --chaos-kills")
+      .add("--chaos-kills", "K", chaos_kills,
+           "SIGKILL K distinct nodes on a seeded schedule\nand reincarnate them (implies --durable)")
+      .add("--chaos-window-ms", "W", chaos_window_ms, "kills land within W ms of launch")
+      .add("--max-restarts", "R", max_restarts, "restart budget per node")
+      .add("--heartbeat-ms", "H", heartbeat_ms, "heartbeat probe cadence per node")
+      .add("--hung-ms", "M", hung_ms, "no heartbeat reply within M ms = hung, killed")
+      .add("--replication-factor", "R", spec.membership_rf,
+           "copies per lock group (0 = full replication)")
+      .add("--initial-members", "N", spec.initial_members,
+           "servers in the epoch-1 view, later ids are spares (0 = all)")
+      .repeated<marp::util::NodeEvent>("--join-at", "NODE@MS", churn_event(true),
+                                       "admit spare NODE at MS ms after launch")
+      .repeated<marp::util::NodeEvent>("--leave-at", "NODE@MS", churn_event(false),
+                                       "retire member NODE at MS ms, once its sessions are done")
+      .add("--trace", "FILE", trace_path, "merged Perfetto trace of every node's spans")
+      .add("--calibration-out", "FILE", calibration_out,
+           "per-link latencies for marp_sim --net-calibration")
+      .add("--trace-capacity", "N", trace_capacity, "per-node span ring when tracing")
+      .add("--trace-skew-us", "STEP", trace_skew_step_us,
+           "node I's trace clock runs I x STEP us off (tests the merge)");
+  flags.parse(argc, argv);
 
   const bool chaos = chaos_kills > 0;
   if (chaos) durable = true;
   if (check_sim && spec.send_loss > 0.0) {
-    std::fprintf(stderr,
-                 "marp_cluster: --check-sim needs --loss 0 (apply order is only "
-                 "deterministic without loss)\n");
-    return 2;
+    flags.fail("--check-sim needs --loss 0 (apply order is only deterministic without loss)");
   }
+  // Chaos mode carries its own (store-level) sim comparison, and needs
+  // private keys for the final store to be substrate-independent.
   if (chaos && (check_sim || spec.shared_keys)) {
-    // Chaos mode carries its own (store-level) sim comparison, and needs
-    // private keys for the final store to be substrate-independent.
-    std::fprintf(stderr,
-                 "marp_cluster: --chaos-kills excludes --check-sim/--shared\n");
-    return 2;
+    flags.fail("--chaos-kills excludes --check-sim/--shared");
   }
   const bool membership = spec.membership_rf > 0;
   if (!membership && !churn.empty()) {
-    std::fprintf(stderr, "marp_cluster: --join-at/--leave-at need --membership-rf\n");
-    return 2;
+    flags.fail("--join-at/--leave-at need --replication-factor");
   }
+  // The reference sim runs full replication, and the reincarnation
+  // supervisor's store oracle assumes every node holds every key — both
+  // compare whole stores, which partial replication legitimately breaks.
+  // Membership verification is view-scoped instead (below).
   if (membership && (chaos || check_sim)) {
-    // The reference sim runs full replication, and the reincarnation
-    // supervisor's store oracle assumes every node holds every key — both
-    // compare whole stores, which partial replication legitimately breaks.
-    // Membership verification is view-scoped instead (below).
-    std::fprintf(stderr,
-                 "marp_cluster: --membership-rf excludes --chaos-kills/--check-sim\n");
-    return 2;
+    flags.fail("--replication-factor excludes --chaos-kills/--check-sim");
   }
   if (membership) {
     if (spec.initial_members == 0 || spec.initial_members > spec.nodes) {
       spec.initial_members = spec.nodes;
     }
     for (const ChurnEvent& event : churn) {
-      if (event.node >= spec.nodes) {
-        std::fprintf(stderr, "marp_cluster: churn node %u out of range\n", event.node);
-        return 2;
-      }
+      const std::string node = "node " + std::to_string(event.node);
+      if (event.node >= spec.nodes) flags.fail("churn " + node + " out of range");
       if (event.join && event.node < spec.initial_members) {
-        std::fprintf(stderr,
-                     "marp_cluster: --join-at node %u is already an initial member\n",
-                     event.node);
-        return 2;
+        flags.fail("--join-at " + node + " is already an initial member");
       }
       if (!event.join && event.node >= spec.initial_members) {
-        std::fprintf(stderr,
-                     "marp_cluster: --leave-at node %u is not an initial member\n",
-                     event.node);
-        return 2;
+        flags.fail("--leave-at " + node + " is not an initial member");
       }
     }
   }
@@ -343,22 +244,49 @@ int main(int argc, char** argv) {
     ::mkdir(dir.c_str(), 0755);
   }
 
-  const bool tracing = !trace_out.empty() || !calibration_out.empty();
-  NodeOptions opts;
-  if (tracing) {
-    opts.trace_capacity = trace_capacity;
-    opts.trace_skew_step_us = trace_skew_step_us;
+  const bool tracing = !trace_path.empty() || !calibration_out.empty();
+  const auto endpoints = marp::transport::local_uds_cluster(dir, spec.nodes);
+  // What every marp_node runs with; child_config adds the per-node values.
+  RealNodeConfig base = marp::transport::node_defaults();
+  base.endpoints = endpoints;
+  base.sessions = spec.sessions_per_node;
+  base.keys_per_origin = spec.keys_per_origin;
+  base.shared_keys = spec.shared_keys;
+  base.send_loss = spec.send_loss;
+  if (membership) {
+    base.marp.membership.replication_factor = spec.membership_rf;
+    base.marp.membership.initial_members = spec.initial_members;
   }
+  if (tracing) base.trace_capacity = trace_capacity;
+  const std::string state_root = dir + "/state";
   if (durable) {
-    opts.state_root = dir + "/state";
-    ::mkdir(opts.state_root.c_str(), 0755);
+    ::mkdir(state_root.c_str(), 0755);
     // One epoch for every spawn AND respawn: µs on the machine-wide
     // monotonic clock, so a reincarnated node's virtual clock resumes ahead
     // of its previous life and its post-rebirth Versions keep ascending.
-    opts.epoch_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                        Clock::now().time_since_epoch())
-                        .count();
+    base.clock_epoch_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                              Clock::now().time_since_epoch())
+                              .count();
+    base.checkpoint_interval = marp::sim::SimTime::millis(250);
+    base.session_retry_timeout = marp::sim::SimTime::millis(3000);
+    base.marp.agent_lease_timeout = marp::sim::SimTime::millis(4000);
   }
+  const auto child_config = [&](std::size_t node, std::uint32_t incarnation) {
+    RealNodeConfig child = base;
+    child.node = static_cast<marp::net::NodeId>(node);
+    child.seed = spec.seed + node;
+    // Spares start outside the view and originate nothing until joined;
+    // their workload share would otherwise stall behind the epoch fence.
+    if (membership && node >= spec.initial_members) child.sessions = 0;
+    // Distinct, known trace-clock offsets, so the merged timeline
+    // demonstrably comes out of the alignment, not luck.
+    if (tracing) child.trace_skew_us = trace_skew_step_us * static_cast<std::int64_t>(node);
+    if (durable) {
+      child.data_dir = state_root + "/node" + std::to_string(node);
+      child.incarnation = static_cast<std::uint16_t>(incarnation);
+    }
+    return child;
+  };
 
   const std::string binary = node_binary_path();
   std::fprintf(stderr, "marp_cluster: %zu nodes x %llu sessions in %s (loss %.3f%s)\n",
@@ -369,7 +297,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> logs;
   for (std::size_t node = 0; node < spec.nodes; ++node) {
     logs.push_back(dir + "/node" + std::to_string(node) + ".log");
-    const pid_t pid = spawn_node(binary, spec, dir, node, logs.back(), opts, 0);
+    const pid_t pid = spawn_node(binary, child_config(node, 0), logs.back());
     if (pid < 0) {
       // A short cluster cannot quiesce; fail now and reap what was spawned
       // rather than letting waitpid(-1) confuse the per-node reap loop.
@@ -385,7 +313,6 @@ int main(int argc, char** argv) {
     children[node].spawned_at = Clock::now();
   }
 
-  const auto endpoints = marp::transport::local_uds_cluster(dir, spec.nodes);
   std::vector<ControlClient> clients;
   for (std::size_t node = 0; node < spec.nodes; ++node) {
     clients.emplace_back(endpoints[node], static_cast<marp::net::NodeId>(node));
@@ -427,10 +354,7 @@ int main(int argc, char** argv) {
       for (ChurnEvent& event : churn) {
         if (event.fired) continue;
         all_fired = false;
-        const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                                 Clock::now() - t0)
-                                 .count();
-        if (elapsed < event.at_ms) break;
+        if (Clock::now() - t0 < std::chrono::microseconds(event.at.as_micros())) break;
         if (!event.join) {
           const auto& leaver = statuses[event.node];
           if (!leaver || leaver->sessions_completed < leaver->sessions_target) break;
@@ -522,8 +446,7 @@ int main(int argc, char** argv) {
         ++child.restarts;
         ++child.incarnation;
         child.quiesced = false;
-        child.pid = spawn_node(binary, spec, dir, node, logs[node], opts,
-                               child.incarnation);
+        child.pid = spawn_node(binary, child_config(node, child.incarnation), logs[node]);
         if (child.pid < 0) {
           problems.push_back("node " + std::to_string(node) + ": respawn failed");
           failed = true;
@@ -690,10 +613,9 @@ int main(int argc, char** argv) {
         }
       }
       const std::uint64_t final_epoch = 1 + churn.size();
-      const marp::core::MarpConfig node_defaults;  // what marp_node ran with
       const auto view = marp::membership::make_view(
-          final_epoch, active, spec.membership_rf, node_defaults.num_lock_groups);
-      const marp::shard::ShardRouter router(node_defaults.num_lock_groups);
+          final_epoch, active, spec.membership_rf, base.marp.num_lock_groups);
+      const marp::shard::ShardRouter router(base.marp.num_lock_groups);
 
       if (real.commits != expected_commits) {
         problems.push_back("commit count mismatch: " + std::to_string(real.commits) +
@@ -874,10 +796,10 @@ int main(int argc, char** argv) {
 
   if (!failed && tracing) {
     marp::trace::MergeResult merged;
-    if (!trace_out.empty()) {
-      std::ofstream out(trace_out, std::ios::binary);
+    if (!trace_path.empty()) {
+      std::ofstream out(trace_path, std::ios::binary);
       if (!out) {
-        problems.push_back("cannot open --trace-out " + trace_out);
+        problems.push_back("cannot open --trace " + trace_path);
       } else {
         merged = marp::trace::write_merged_trace(out, node_traces);
         std::fprintf(stderr,
@@ -886,7 +808,7 @@ int main(int argc, char** argv) {
                      merged.spans_emitted, merged.flows_emitted,
                      merged.open_unmatched,
                      static_cast<unsigned long long>(merged.spans_dropped),
-                     trace_out.c_str());
+                     trace_path.c_str());
         for (std::size_t node = 0; node < merged.offsets_us.size(); ++node) {
           std::fprintf(stderr,
                        "marp_cluster: clock offset node %zu: %lld us%s\n", node,

@@ -5,152 +5,34 @@
 // control RPC, and exits on a Shutdown call. Typically launched N times by
 // tools/marp_cluster; can also be started by hand:
 //
-//   marp_node --node 0 --nodes 5 --dir /tmp/marp &   # … repeat for 1..4
-//   marp_node --node 1 --nodes 5 --dir /tmp/marp &
+//   marp_node --node 0 --servers 5 --dir /tmp/marp &   # … repeat for 1..4
+//   marp_node --node 1 --servers 5 --dir /tmp/marp &
 //
 // With --endpoints the cluster can span machines over TCP:
 //   marp_node --node 0 --endpoints tcp:10.0.0.1:7000,tcp:10.0.0.2:7000
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
-#include <vector>
 
-#include "transport/real_node.hpp"
-
-namespace {
-
-void usage() {
-  std::fprintf(stderr,
-               "usage: marp_node --node I [options]\n"
-               "  --node I            this node's id (required)\n"
-               "  --nodes N           cluster size (default 5)\n"
-               "  --dir DIR           UDS socket directory (default /tmp)\n"
-               "  --endpoints LIST    comma-separated endpoints, one per node\n"
-               "                      (tcp:HOST:PORT or uds:PATH; overrides --dir)\n"
-               "  --sessions S        update sessions this node originates (default 20)\n"
-               "  --keys K            distinct keys per origin (default 2)\n"
-               "  --shared            all nodes write the same shared keys\n"
-               "  --seed S            rng seed (default 1)\n"
-               "  --loss P            socket-level AppMessage loss probability\n"
-               "  --no-checksum       disable frame checksums\n"
-               "  --unreliable        fire-and-forget COMMIT (paper budget)\n"
-               "  --start-delay-ms M  delay before the first session (default 300)\n"
-               "dynamic membership (driven by marp_cluster --join-at/--leave-at):\n"
-               "  --membership-rf R   copies per lock group (0 = full replication,\n"
-               "                      membership machinery off)\n"
-               "  --initial-members N servers in the epoch-1 view; later ids start\n"
-               "                      as spares that can join (0 = every node)\n"
-               "crash recovery (driven by the marp_cluster supervisor):\n"
-               "  --state-dir DIR     durable checkpoint+journal directory\n"
-               "                      (default: volatile node, no recovery)\n"
-               "  --incarnation I     reincarnation count, 0 = first life\n"
-               "  --epoch-us E        shared virtual-clock epoch (us on the\n"
-               "                      monotonic clock; same value every life)\n"
-               "  --catchup-ms M      rejoin catch-up window (default 500)\n"
-               "  --checkpoint-ms M   periodic checkpoint cadence (0 = off)\n"
-               "  --sync-pull-ms M    recurring anti-entropy pull (0 = off)\n"
-               "  --session-retry-ms M  stalled-session watchdog (0 = off)\n"
-               "  --agent-lease-ms M  dead-agent lock-state lease (0 = off)\n"
-               "distributed tracing:\n"
-               "  --trace CAP         per-node span ring capacity (0 = off);\n"
-               "                      spans served via the TraceDump RPC\n"
-               "  --trace-skew-us U   inject a trace-clock offset (testing the\n"
-               "                      merge step's alignment; protocol time is\n"
-               "                      unaffected)\n"
-               "  --counters          print the full counter registry on exit\n");
-}
-
-}  // namespace
+#include "transport/node_flags.hpp"
 
 int main(int argc, char** argv) {
-  using marp::transport::Endpoint;
-  marp::transport::RealNodeConfig config;
-  config.node = marp::net::kInvalidNode;
-  config.sessions = 20;
-  config.marp.reliable_commit = true;
-
-  std::size_t nodes = 5;
+  using namespace marp::transport;
+  RealNodeConfig config = node_defaults();
+  std::size_t servers = 5;
   std::string dir = "/tmp";
-  std::string endpoints_arg;
   bool print_counters = false;
 
-  const auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      usage();
-      std::exit(2);
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--node") config.node = static_cast<marp::net::NodeId>(std::strtoul(next(i), nullptr, 10));
-    else if (arg == "--nodes") nodes = std::strtoul(next(i), nullptr, 10);
-    else if (arg == "--dir") dir = next(i);
-    else if (arg == "--endpoints") endpoints_arg = next(i);
-    else if (arg == "--sessions") config.sessions = std::strtoull(next(i), nullptr, 10);
-    else if (arg == "--keys") config.keys_per_origin = std::strtoull(next(i), nullptr, 10);
-    else if (arg == "--shared") config.shared_keys = true;
-    else if (arg == "--seed") config.seed = std::strtoull(next(i), nullptr, 10);
-    else if (arg == "--loss") config.send_loss = std::strtod(next(i), nullptr);
-    else if (arg == "--no-checksum") config.checksum = false;
-    else if (arg == "--unreliable") config.marp.reliable_commit = false;
-    else if (arg == "--start-delay-ms")
-      config.start_delay = marp::sim::SimTime::millis(std::strtol(next(i), nullptr, 10));
-    else if (arg == "--membership-rf")
-      config.marp.membership.replication_factor =
-          static_cast<std::uint32_t>(std::strtoul(next(i), nullptr, 10));
-    else if (arg == "--initial-members")
-      config.marp.membership.initial_members = std::strtoul(next(i), nullptr, 10);
-    else if (arg == "--state-dir") config.data_dir = next(i);
-    else if (arg == "--incarnation")
-      config.incarnation = static_cast<std::uint16_t>(std::strtoul(next(i), nullptr, 10));
-    else if (arg == "--epoch-us") config.clock_epoch_us = std::strtoll(next(i), nullptr, 10);
-    else if (arg == "--catchup-ms")
-      config.catchup_delay = marp::sim::SimTime::millis(std::strtol(next(i), nullptr, 10));
-    else if (arg == "--checkpoint-ms")
-      config.checkpoint_interval = marp::sim::SimTime::millis(std::strtol(next(i), nullptr, 10));
-    else if (arg == "--sync-pull-ms")
-      config.sync_pull_interval = marp::sim::SimTime::millis(std::strtol(next(i), nullptr, 10));
-    else if (arg == "--session-retry-ms")
-      config.session_retry_timeout = marp::sim::SimTime::millis(std::strtol(next(i), nullptr, 10));
-    else if (arg == "--agent-lease-ms")
-      config.marp.agent_lease_timeout = marp::sim::SimTime::millis(std::strtol(next(i), nullptr, 10));
-    else if (arg == "--trace")
-      config.trace_capacity = std::strtoull(next(i), nullptr, 10);
-    else if (arg == "--trace-skew-us")
-      config.trace_skew_us = std::strtoll(next(i), nullptr, 10);
-    else if (arg == "--counters") print_counters = true;
-    else {
-      usage();
-      return 2;
-    }
-  }
+  marp::util::Flags flags = node_flags(config);
+  flags.add("--servers", "N", servers, "cluster size, with --dir when --endpoints is absent")
+      .add("--dir", "DIR", dir, "UDS socket directory when --endpoints is absent")
+      .toggle("--counters", print_counters, true, "print the full counter registry on exit");
+  flags.parse(argc, argv);
 
-  if (!endpoints_arg.empty()) {
-    std::size_t pos = 0;
-    while (pos <= endpoints_arg.size()) {
-      const std::size_t comma = endpoints_arg.find(',', pos);
-      const std::string token = endpoints_arg.substr(
-          pos, comma == std::string::npos ? std::string::npos : comma - pos);
-      const auto endpoint = Endpoint::parse(token);
-      if (!endpoint) {
-        std::fprintf(stderr, "marp_node: bad endpoint '%s'\n", token.c_str());
-        return 2;
-      }
-      config.endpoints.push_back(*endpoint);
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-  } else {
-    config.endpoints = marp::transport::local_uds_cluster(dir, nodes);
-  }
-
+  if (config.endpoints.empty()) config.endpoints = local_uds_cluster(dir, servers);
   if (config.node >= config.endpoints.size()) {
-    usage();
-    return 2;
+    flags.fail("--node: expected a node id below " + std::to_string(config.endpoints.size()));
   }
 
   std::fprintf(stderr,
@@ -161,7 +43,7 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(config.sessions), config.incarnation,
                config.data_dir.empty() ? "" : (", durable in " + config.data_dir).c_str());
 
-  marp::transport::RealNode node(std::move(config));
+  RealNode node(std::move(config));
   node.run();
 
   if (print_counters) {

@@ -6,8 +6,6 @@
 //   marp_sim --protocol marp --servers 5 --interarrival 45 --seed 7
 //   marp_sim --protocol mcv --network wan --writes 0.3 --duration 30
 //   marp_sim --protocol marp --batch 4 --quorum-reads --csv
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -19,164 +17,72 @@
 #include "runner/experiment.hpp"
 #include "trace/export.hpp"
 #include "trace/merge.hpp"
-
-namespace {
-
-using namespace marp;
-
-[[noreturn]] void usage(const char* argv0, int code) {
-  std::ostream& os = code == 0 ? std::cout : std::cerr;
-  os << "usage: " << argv0 << " [flags]\n"
-     << "  --protocol marp|mcv|wv|ac|pc|tsae  replication protocol (default marp)\n"
-     << "  --servers N                    replicas (default 5)\n"
-     << "  --network lan|wan              topology/latency model (default lan)\n"
-     << "  --interarrival MS              mean request gap per server (default 100)\n"
-     << "  --writes F                     write fraction 0..1 (default 1.0)\n"
-     << "  --keys N                       key-space size (default 1)\n"
-     << "  --zipf S                       key skew (default 0 = uniform)\n"
-     << "  --writes-per-update N          keys per write-set (default 1)\n"
-     << "  --duration S                   workload duration, seconds (default 10)\n"
-     << "  --max-requests N               cap per server (default unlimited)\n"
-     << "  --seed N                       run seed (default 1)\n"
-     << "  --batch N                      MARP batch size (default 1)\n"
-     << "  --lock-groups N                MARP lock groups (default 1)\n"
-     << "  --replication-factor R         copies per lock group (default 0 =\n"
-        "                                 static full replication)\n"
-     << "  --votes a,b,c,...              MARP weighted votes (default uniform)\n"
-     << "  --quorum GEOM                  majority|tree|grid|read-lease quorum\n"
-     << "                                 geometry (default majority)\n"
-     << "  --tree-degree D                tree geometry branching (default 2)\n"
-     << "  --grid-cols C                  grid geometry columns (default: ~sqrt N)\n"
-     << "  --quorum-reads                 MARP agent-based quorum reads\n"
-     << "  --no-gossip                    disable MARP information sharing\n"
-     << "  --migration-retries N          retries before a replica is declared\n"
-     << "                                 unavailable (default 2)\n"
-     << "  --reliable-commit              acked COMMIT/REPORT with retransmits\n"
-     << "  --drop P                       per-link message drop probability\n"
-     << "  --fail NODE@SEC [repeatable]   fail-stop a server at a time\n"
-     << "  --recover NODE@SEC             recover a server at a time\n"
-     << "  --csv                          one CSV row instead of the summary\n"
-     << "  --request-trace                per-request CSV trace\n"
-     << "  --trace FILE                   write a Chrome/Perfetto trace of the run\n"
-     << "                                 (summary adds the per-phase breakdown)\n"
-     << "  --counters                     dump the unified counter registry\n"
-     << "  --net-calibration FILE         replay a real cluster's measured per-link\n"
-     << "                                 delays (from marp_cluster --calibration-out)\n"
-     << "                                 and report sampled vs target medians\n"
-     << "  --calibration-check            fail unless every well-sampled link's\n"
-     << "                                 median closes within 10% (or 10us on\n"
-     << "                                 sub-100us UDS-class links)\n";
-  std::exit(code);
-}
-
-runner::ProtocolKind parse_protocol(const std::string& name, const char* argv0) {
-  if (name == "marp") return runner::ProtocolKind::Marp;
-  if (name == "mcv") return runner::ProtocolKind::MpMcv;
-  if (name == "wv") return runner::ProtocolKind::WeightedVoting;
-  if (name == "ac") return runner::ProtocolKind::AvailableCopy;
-  if (name == "pc") return runner::ProtocolKind::PrimaryCopy;
-  if (name == "tsae") return runner::ProtocolKind::Tsae;
-  std::cerr << "unknown protocol: " << name << "\n";
-  usage(argv0, 2);
-}
-
-quorum::Geometry parse_geometry(const std::string& name, const char* argv0) {
-  if (name == "majority") return quorum::Geometry::Majority;
-  if (name == "tree") return quorum::Geometry::Tree;
-  if (name == "grid") return quorum::Geometry::Grid;
-  if (name == "read-lease") return quorum::Geometry::ReadLease;
-  std::cerr << "unknown quorum geometry: " << name << "\n";
-  usage(argv0, 2);
-}
-
-std::vector<std::uint32_t> parse_votes(const std::string& spec) {
-  std::vector<std::uint32_t> votes;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string token = spec.substr(pos, comma - pos);
-    votes.push_back(static_cast<std::uint32_t>(std::stoul(token)));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return votes;
-}
-
-}  // namespace
+#include "util/flags.hpp"
 
 int main(int argc, char** argv) {
+  using namespace marp;
   runner::ExperimentConfig config;
   config.workload.mean_interarrival_ms = 100.0;
+  double duration_s = config.workload.duration.as_seconds();
   bool csv = false;
   bool trace_csv = false;
   bool dump_counters = false;
   std::string trace_path;
   std::string calibration_path;
   bool calibration_check = false;
-
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage(argv[0], 2);
-    return argv[++i];
-  };
-  auto parse_event = [&](const char* spec, bool fail) {
-    const char* at = std::strchr(spec, '@');
-    if (!at) usage(argv[0], 2);
-    runner::FailureEvent event;
-    event.node = static_cast<net::NodeId>(std::stoul(std::string(spec, at)));
-    event.at = sim::SimTime::seconds(std::stod(at + 1));
-    event.fail = fail;
-    config.failures.push_back(event);
+  const auto failure = [&config](bool fail) {
+    return [&config, fail](const util::NodeEvent& event) {
+      config.failures.push_back({event.at, event.node, fail});
+    };
   };
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--help" || flag == "-h") usage(argv[0], 0);
-    else if (flag == "--protocol") config.protocol = parse_protocol(need_value(i), argv[0]);
-    else if (flag == "--servers") config.servers = std::stoul(need_value(i));
-    else if (flag == "--network") {
-      const std::string name = need_value(i);
-      if (name == "lan") config.network = runner::NetworkKind::Lan;
-      else if (name == "wan") config.network = runner::NetworkKind::Wan;
-      else usage(argv[0], 2);
-    }
-    else if (flag == "--interarrival") config.workload.mean_interarrival_ms = std::stod(need_value(i));
-    else if (flag == "--writes") config.workload.write_fraction = std::stod(need_value(i));
-    else if (flag == "--keys") config.workload.num_keys = std::stoul(need_value(i));
-    else if (flag == "--zipf") config.workload.zipf_s = std::stod(need_value(i));
-    else if (flag == "--writes-per-update") config.workload.writes_per_update = std::stoul(need_value(i));
-    else if (flag == "--duration") config.workload.duration = sim::SimTime::seconds(std::stod(need_value(i)));
-    else if (flag == "--max-requests") config.workload.max_requests_per_server = std::stoull(need_value(i));
-    else if (flag == "--seed") config.seed = std::stoull(need_value(i));
-    else if (flag == "--batch") config.marp.batch_size = std::stoul(need_value(i));
-    else if (flag == "--lock-groups") config.marp.num_lock_groups = std::stoul(need_value(i));
-    else if (flag == "--replication-factor")
-      config.marp.membership.replication_factor =
-          static_cast<std::uint32_t>(std::stoul(need_value(i)));
-    else if (flag == "--votes") config.marp.votes = parse_votes(need_value(i));
-    else if (flag == "--quorum")
-      config.marp.quorum.geometry = parse_geometry(need_value(i), argv[0]);
-    else if (flag == "--tree-degree")
-      config.marp.quorum.tree_degree = static_cast<std::uint32_t>(std::stoul(need_value(i)));
-    else if (flag == "--grid-cols")
-      config.marp.quorum.grid_cols = std::stoul(need_value(i));
-    else if (flag == "--quorum-reads") config.marp.read_mode = core::ReadMode::QuorumAgent;
-    else if (flag == "--no-gossip") config.marp.gossip = false;
-    else if (flag == "--migration-retries") config.marp.migration_retry_limit = static_cast<std::uint32_t>(std::stoul(need_value(i)));
-    else if (flag == "--reliable-commit") config.marp.reliable_commit = true;
-    else if (flag == "--drop") config.link_faults.drop = std::stod(need_value(i));
-    else if (flag == "--fail") parse_event(need_value(i), true);
-    else if (flag == "--recover") parse_event(need_value(i), false);
-    else if (flag == "--csv") csv = true;
-    else if (flag == "--request-trace") trace_csv = true;
-    else if (flag == "--trace") trace_path = need_value(i);
-    else if (flag == "--counters") dump_counters = true;
-    else if (flag == "--net-calibration") calibration_path = need_value(i);
-    else if (flag == "--calibration-check") calibration_check = true;
-    else {
-      std::cerr << "unknown flag: " << flag << "\n";
-      usage(argv[0], 2);
-    }
-  }
+  util::Flags flags("marp_sim");
+  flags.choice("--protocol", config.protocol, runner::kProtocolNames, "replication protocol")
+      .add("--servers", "N", config.servers, "replicas")
+      .choice("--network", config.network, runner::kNetworkNames, "topology/latency model")
+      .add("--interarrival", "MS", config.workload.mean_interarrival_ms, "mean request gap")
+      .add("--writes", "F", config.workload.write_fraction, "write fraction 0..1")
+      .add("--keys", "N", config.workload.num_keys, "key-space size")
+      .add("--zipf", "S", config.workload.zipf_s, "key skew (0 = uniform)")
+      .add("--writes-per-update", "N", config.workload.writes_per_update, "keys per write-set")
+      .add("--duration", "S", duration_s, "workload duration, seconds")
+      .add("--max-requests", "N", config.workload.max_requests_per_server,
+           "cap per server (default unlimited)")
+      .add("--seed", "N", config.seed, "run seed")
+      .add("--batch", "N", config.marp.batch_size, "MARP batch size")
+      .add("--lock-groups", "N", config.marp.num_lock_groups, "MARP lock groups")
+      .add("--replication-factor", "R", config.marp.membership.replication_factor,
+           "copies per lock group (0 = full replication)")
+      .add("--votes", "A,B,...", config.marp.votes, "MARP weighted votes (default uniform)")
+      .choice("--quorum", config.marp.quorum.geometry, quorum::kGeometryNames, "geometry")
+      .add("--tree-degree", "D", config.marp.quorum.tree_degree, "tree geometry branching")
+      .add("--grid-cols", "C", config.marp.quorum.grid_cols,
+           "grid geometry columns (0 = about sqrt N)")
+      .toggle("--quorum-reads", config.marp.read_mode, core::ReadMode::QuorumAgent,
+              "MARP agent-based quorum reads")
+      .toggle("--no-gossip", config.marp.gossip, false, "disable MARP information sharing")
+      .add("--migration-retries", "N", config.marp.migration_retry_limit,
+           "retries before a replica is declared unavailable")
+      .toggle("--reliable-commit", config.marp.reliable_commit, true,
+              "acked COMMIT/REPORT with retransmits")
+      .add("--drop", "P", config.link_faults.drop, "per-link message drop probability")
+      .repeated<util::NodeEvent>("--fail", "NODE@MS", failure(true),
+                                 "fail-stop a server at a time")
+      .repeated<util::NodeEvent>("--recover", "NODE@MS", failure(false),
+                                 "recover a server at a time")
+      .toggle("--csv", csv, true, "one CSV row instead of the summary")
+      .toggle("--request-trace", trace_csv, true, "per-request CSV trace")
+      .add("--trace", "FILE", trace_path,
+           "write a Chrome/Perfetto trace (summary adds the phase breakdown)")
+      .toggle("--counters", dump_counters, true, "dump the unified counter registry")
+      .add("--net-calibration", "FILE", calibration_path,
+           "replay marp_cluster --calibration-out link delays,\n"
+           "reporting sampled vs target medians")
+      .toggle("--calibration-check", calibration_check, true,
+              "fail unless each well-sampled link's median closes\n"
+              "within 10% (10us on sub-100us UDS-class links)");
+  flags.parse(argc, argv);
+  config.workload.duration = sim::SimTime::seconds(duration_s);
 
   config.keep_outcomes = trace_csv;
   if (!trace_path.empty()) config.trace_capacity = 1u << 20;

@@ -20,111 +20,20 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "check/explorer.hpp"
 #include "quorum/spec.hpp"
+#include "trace/json.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
 using namespace marp;
 
-[[noreturn]] void usage(const char* argv0, int code) {
-  std::ostream& os = code == 0 ? std::cout : std::cerr;
-  os << "usage: " << argv0 << " [flags]\n"
-     << "  --servers N          replicas (default 3)\n"
-     << "  --agents N           concurrent single-write agents (default 2)\n"
-     << "  --groups N           lock groups (default 1)\n"
-     << "  --mutant KIND        none|majority|tiebreak|split|mixedepoch (default none)\n"
-     << "  --quorum GEOM        majority|tree|grid|read-lease (default majority)\n"
-     << "  --tree-degree D      tree geometry branching (default 2)\n"
-     << "  --grid-cols C        grid geometry columns (default: ~sqrt N)\n"
-     << "  --fault KIND         none|crash|drop (default none)\n"
-     << "  --membership-rf R    dynamic membership: R copies per lock group\n"
-     << "  --initial-members N  first N servers form epoch 1 (default: all)\n"
-     << "  --join-at MS:NODE    propose adding NODE at MS ms (membership only)\n"
-     << "  --leave-at MS:NODE   propose removing NODE at MS ms (membership only)\n"
-     << "  --agent-stagger MS   space agent submissions MS ms apart (0 = tied\n"
-     << "                       t=0 start; non-zero lets later agents be born\n"
-     << "                       under a newer epoch)\n"
-     << "  --max-schedules N    schedule budget (default 200000)\n"
-     << "  --max-branch-points N  depth allowed to branch (default 256)\n"
-     << "  --horizon-ms N       per-run virtual-time bound (default: auto)\n"
-     << "  --no-prune           disable sleep-set partial-order reduction\n"
-     << "  --fail-fast          stop at the first violation\n"
-     << "  --expect-violation   invert the exit status (mutant CI runs)\n"
-     << "  --replay I,J,K       re-run one schedule verbosely and exit\n"
-     << "  --out FILE           write the JSON report to FILE (default stdout)\n";
-  std::exit(code);
-}
-
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string schedule_str(const std::vector<std::size_t>& schedule) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < schedule.size(); ++i) {
-    if (i) os << ",";
-    os << schedule[i];
-  }
-  return os.str();
-}
-
-std::vector<std::size_t> parse_schedule(const std::string& text) {
-  std::vector<std::size_t> schedule;
-  std::istringstream is(text);
-  std::string part;
-  while (std::getline(is, part, ',')) {
-    if (!part.empty()) schedule.push_back(std::stoull(part));
-  }
-  return schedule;
-}
-
-const char* mutant_name(core::ProtocolMutant mutant) {
-  switch (mutant) {
-    case core::ProtocolMutant::None: return "none";
-    case core::ProtocolMutant::MajorityOffByOne: return "majority";
-    case core::ProtocolMutant::TieBreakLargestId: return "tiebreak";
-    case core::ProtocolMutant::SplitQuorum: return "split";
-    case core::ProtocolMutant::MixedEpoch: return "mixedepoch";
-  }
-  return "?";
-}
-
-// "MS:NODE" → (time, node) for the scripted churn flags.
-std::pair<sim::SimTime, net::NodeId> parse_churn(const std::string& text) {
-  const std::size_t colon = text.find(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= text.size()) {
-    std::cerr << "expected MS:NODE, got: " << text << "\n";
-    std::exit(2);
-  }
-  return {sim::SimTime::millis(std::stoll(text.substr(0, colon))),
-          static_cast<net::NodeId>(std::stoul(text.substr(colon + 1)))};
-}
-
-const char* fault_name(check::FaultKind fault) {
-  switch (fault) {
-    case check::FaultKind::None: return "none";
-    case check::FaultKind::Crash: return "crash";
-    case check::FaultKind::Drop: return "drop";
-  }
-  return "?";
-}
+using Schedule = util::Text<std::vector<std::size_t>>;
 
 void emit_report(std::ostream& os, const check::ScenarioConfig& scenario,
                  const check::ExploreLimits& limits,
@@ -133,9 +42,9 @@ void emit_report(std::ostream& os, const check::ScenarioConfig& scenario,
      << "\"servers\":" << scenario.servers
      << ",\"agents\":" << scenario.agents
      << ",\"groups\":" << scenario.lock_groups
-     << ",\"mutant\":\"" << mutant_name(scenario.mutant) << "\""
+     << ",\"mutant\":\"" << util::name_of(core::kMutantNames, scenario.mutant) << "\""
      << ",\"quorum\":\"" << quorum::geometry_name(scenario.quorum.geometry) << "\""
-     << ",\"fault\":\"" << fault_name(scenario.fault) << "\""
+     << ",\"fault\":\"" << util::name_of(check::kFaultNames, scenario.fault) << "\""
      << ",\"membership_rf\":" << scenario.membership_rf
      << ",\"initial_members\":" << scenario.initial_members
      << ",\"horizon_us\":" << scenario.effective_horizon().as_micros()
@@ -153,9 +62,9 @@ void emit_report(std::ostream& os, const check::ScenarioConfig& scenario,
   for (std::size_t i = 0; i < report.violations.size(); ++i) {
     const check::ViolationRecord& v = report.violations[i];
     if (i) os << ",";
-    os << "{\"schedule\":\"" << schedule_str(v.schedule) << "\""
+    os << "{\"schedule\":\"" << Schedule::format(v.schedule) << "\""
        << ",\"step\":" << v.step << ",\"time_us\":" << v.time_us
-       << ",\"problem\":\"" << json_escape(v.problem) << "\"}";
+       << ",\"problem\":\"" << trace::json_escape(v.problem) << "\"}";
   }
   os << "]}\n";
 }
@@ -166,76 +75,46 @@ int main(int argc, char** argv) {
   check::ScenarioConfig scenario;
   check::ExploreLimits limits;
   bool expect_violation = false;
-  bool replay_mode = false;
-  std::vector<std::size_t> replay_schedule;
+  std::optional<std::vector<std::size_t>> replay_schedule;
+  std::optional<util::NodeEvent> join;
+  std::optional<util::NodeEvent> leave;
   std::string out_path;
 
-  auto value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) usage(argv[0], 2);
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--help" || flag == "-h") usage(argv[0], 0);
-    else if (flag == "--servers") scenario.servers = std::stoull(value(i));
-    else if (flag == "--agents") scenario.agents = std::stoull(value(i));
-    else if (flag == "--groups") scenario.lock_groups = std::stoull(value(i));
-    else if (flag == "--horizon-ms")
-      scenario.horizon = sim::SimTime::millis(std::stoll(value(i)));
-    else if (flag == "--max-schedules") limits.max_schedules = std::stoull(value(i));
-    else if (flag == "--max-branch-points")
-      limits.max_branch_points = std::stoull(value(i));
-    else if (flag == "--no-prune") limits.sleep_sets = false;
-    else if (flag == "--fail-fast") limits.fail_fast = true;
-    else if (flag == "--expect-violation") expect_violation = true;
-    else if (flag == "--replay") {
-      replay_mode = true;
-      replay_schedule = parse_schedule(value(i));
-    } else if (flag == "--out") out_path = value(i);
-    else if (flag == "--mutant") {
-      const std::string kind = value(i);
-      if (kind == "none") scenario.mutant = core::ProtocolMutant::None;
-      else if (kind == "majority")
-        scenario.mutant = core::ProtocolMutant::MajorityOffByOne;
-      else if (kind == "tiebreak")
-        scenario.mutant = core::ProtocolMutant::TieBreakLargestId;
-      else if (kind == "split")
-        scenario.mutant = core::ProtocolMutant::SplitQuorum;
-      else if (kind == "mixedepoch")
-        scenario.mutant = core::ProtocolMutant::MixedEpoch;
-      else usage(argv[0], 2);
-    } else if (flag == "--quorum") {
-      const std::string name = value(i);
-      if (name == "majority") scenario.quorum.geometry = quorum::Geometry::Majority;
-      else if (name == "tree") scenario.quorum.geometry = quorum::Geometry::Tree;
-      else if (name == "grid") scenario.quorum.geometry = quorum::Geometry::Grid;
-      else if (name == "read-lease")
-        scenario.quorum.geometry = quorum::Geometry::ReadLease;
-      else usage(argv[0], 2);
-    } else if (flag == "--tree-degree") {
-      scenario.quorum.tree_degree =
-          static_cast<std::uint32_t>(std::stoul(value(i)));
-    } else if (flag == "--grid-cols") {
-      scenario.quorum.grid_cols = std::stoull(value(i));
-    } else if (flag == "--membership-rf") {
-      scenario.membership_rf = std::stoull(value(i));
-    } else if (flag == "--initial-members") {
-      scenario.initial_members = std::stoull(value(i));
-    } else if (flag == "--join-at") {
-      std::tie(scenario.join_at, scenario.join_node) = parse_churn(value(i));
-    } else if (flag == "--leave-at") {
-      std::tie(scenario.leave_at, scenario.leave_node) = parse_churn(value(i));
-    } else if (flag == "--agent-stagger") {
-      scenario.agent_stagger = sim::SimTime::millis(std::stoll(value(i)));
-    } else if (flag == "--fault") {
-      const std::string kind = value(i);
-      if (kind == "none") scenario.fault = check::FaultKind::None;
-      else if (kind == "crash") scenario.fault = check::FaultKind::Crash;
-      else if (kind == "drop") scenario.fault = check::FaultKind::Drop;
-      else usage(argv[0], 2);
-    } else {
-      usage(argv[0], 2);
-    }
+  util::Flags flags("model_check");
+  flags.add("--servers", "N", scenario.servers, "replicas")
+      .add("--agents", "N", scenario.agents, "concurrent single-write agents")
+      .add("--lock-groups", "N", scenario.lock_groups, "lock groups")
+      .choice("--mutant", scenario.mutant, core::kMutantNames, "seeded protocol bug")
+      .choice("--quorum", scenario.quorum.geometry, quorum::kGeometryNames, "quorum geometry")
+      .add("--tree-degree", "D", scenario.quorum.tree_degree, "tree geometry branching")
+      .add("--grid-cols", "C", scenario.quorum.grid_cols,
+           "grid geometry columns (0 = about sqrt N)")
+      .choice("--fault", scenario.fault, check::kFaultNames, "scripted fault")
+      .add("--replication-factor", "R", scenario.membership_rf,
+           "dynamic membership: R copies per lock group\n(0 = static full replication)")
+      .add("--initial-members", "N", scenario.initial_members,
+           "first N servers form epoch 1 (0 = all)")
+      .add("--join-at", "NODE@MS", join, "propose adding NODE at MS ms (membership only)")
+      .add("--leave-at", "NODE@MS", leave, "propose removing NODE at MS ms (membership only)")
+      .add("--agent-stagger", "MS", scenario.agent_stagger,
+           "submit agents MS ms apart (0 = all at t=0; later\nagents may then be born in a newer epoch)")
+      .add("--max-schedules", "N", limits.max_schedules, "schedule budget")
+      .add("--max-branch-points", "N", limits.max_branch_points, "depth allowed to branch")
+      .add("--horizon-ms", "MS", scenario.horizon, "per-run virtual-time bound (0 = auto)")
+      .toggle("--no-prune", limits.sleep_sets, false, "disable sleep-set reduction")
+      .toggle("--fail-fast", limits.fail_fast, true, "stop at the first violation")
+      .toggle("--expect-violation", expect_violation, true,
+              "invert the exit status (mutant CI runs)")
+      .add("--replay", "I,J,K", replay_schedule, "re-run one schedule verbosely and exit")
+      .add("--out", "FILE", out_path, "write the JSON report to FILE (default stdout)");
+  flags.parse(argc, argv);
+  if (join) {
+    scenario.join_node = join->node;
+    scenario.join_at = join->at;
+  }
+  if (leave) {
+    scenario.leave_node = leave->node;
+    scenario.leave_at = leave->at;
   }
 
   if (scenario.mutant == core::ProtocolMutant::SplitQuorum &&
@@ -253,8 +132,8 @@ int main(int argc, char** argv) {
     limits.sleep_sets = false;
   }
 
-  if (replay_mode) {
-    const check::ReplayResult result = check::replay(scenario, replay_schedule);
+  if (replay_schedule) {
+    const check::ReplayResult result = check::replay(scenario, *replay_schedule);
     for (const std::string& line : result.decisions) std::cout << line << "\n";
     std::cout << "steps=" << result.outcome.steps
               << " outcomes=" << result.outcome.outcomes << "\n";
@@ -296,7 +175,7 @@ int main(int argc, char** argv) {
             << report.violations.size() << " violation(s)\n";
   if (!report.violations.empty()) {
     std::cerr << "replay the first with: --replay "
-              << schedule_str(report.violations.front().schedule)
+              << Schedule::format(report.violations.front().schedule)
               << (report.violations.front().schedule.empty() ? "\"\"" : "")
               << " (replay " << (replay_verified ? "verified" : "FAILED TO REPRODUCE")
               << ")\n";

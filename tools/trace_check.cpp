@@ -23,7 +23,6 @@
 //   trace_check out.json
 //   trace_check --expect-marp out.json
 //   trace_check --merged --expect-cross 3 merged.json
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -33,6 +32,7 @@
 #include <vector>
 
 #include "trace/json.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
@@ -63,27 +63,17 @@ int main(int argc, char** argv) {
   bool expect_marp = false;
   bool merged = false;
   std::size_t expect_cross = 0;
-  std::string path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--expect-marp") {
-      expect_marp = true;
-    } else if (flag == "--merged") {
-      merged = true;
-    } else if (flag == "--expect-cross" && i + 1 < argc) {
-      merged = true;
-      expect_cross = std::strtoull(argv[++i], nullptr, 10);
-    } else if (flag == "--help" || flag == "-h") {
-      std::cout << "usage: " << argv[0]
-                << " [--expect-marp] [--merged] [--expect-cross K] trace.json\n";
-      return 0;
-    } else if (path.empty()) {
-      path = flag;
-    } else {
-      return fail("unexpected argument: " + flag);
-    }
-  }
-  if (path.empty()) return fail("no trace file given");
+  std::vector<std::string> paths;
+  marp::util::Flags flags("trace_check");
+  flags.toggle("--expect-marp", expect_marp, true, "require the MARP span taxonomy")
+      .toggle("--merged", merged, true, "validate marp_cluster's one-pid-per-node layout")
+      .add("--expect-cross", "K", expect_cross,
+           "require an agent's spans on >= K pids (implies --merged)")
+      .positional("TRACE", paths, "the Chrome-trace JSON file to check");
+  flags.parse(argc, argv);
+  if (paths.size() != 1) flags.fail("expected one trace file");
+  if (expect_cross > 0) merged = true;
+  const std::string& path = paths.front();
 
   std::ifstream in(path, std::ios::binary);
   if (!in) return fail("cannot open " + path);

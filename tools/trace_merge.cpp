@@ -14,8 +14,6 @@
 // spans with flow arrows (validated by trace_check --merged).
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -23,22 +21,9 @@
 #include "rpc/control.hpp"
 #include "serial/byte_buffer.hpp"
 #include "trace/merge.hpp"
+#include "util/flags.hpp"
 
 namespace {
-
-void usage() {
-  std::fprintf(stderr,
-               "usage: trace_merge --out FILE [options] TRACE...\n"
-               "  TRACE...               raw NodeTrace dumps (marp_cluster's\n"
-               "                         nodeN.trace files)\n"
-               "  --out FILE             merged Chrome-trace JSON\n"
-               "  --calibration-out FILE per-link latency distributions for\n"
-               "                         marp_sim --net-calibration\n"
-               "  --reference N          node whose clock the timeline adopts\n"
-               "                         (default 0)\n"
-               "  --quantiles K          calibration table resolution "
-               "(default 33)\n");
-}
 
 bool read_trace_file(const std::string& path, marp::rpc::NodeTrace& out) {
   std::ifstream in(path, std::ios::binary);
@@ -67,31 +52,17 @@ int main(int argc, char** argv) {
   marp::trace::MergeOptions options;
   std::vector<std::string> inputs;
 
-  const auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      usage();
-      std::exit(2);
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out") out_path = next(i);
-    else if (arg == "--calibration-out") calibration_path = next(i);
-    else if (arg == "--reference")
-      options.reference = static_cast<marp::net::NodeId>(std::strtoul(next(i), nullptr, 10));
-    else if (arg == "--quantiles")
-      options.calibration_quantiles = std::strtoull(next(i), nullptr, 10);
-    else if (!arg.empty() && arg[0] == '-') {
-      usage();
-      return 2;
-    } else {
-      inputs.push_back(arg);
-    }
-  }
-  if (inputs.empty() || (out_path.empty() && calibration_path.empty())) {
-    usage();
-    return 2;
+  marp::util::Flags flags("trace_merge");
+  flags.add("--out", "FILE", out_path, "merged Chrome-trace JSON")
+      .add("--calibration-out", "FILE", calibration_path,
+           "per-link latencies for marp_sim --net-calibration")
+      .add("--reference", "N", options.reference, "node whose clock the timeline adopts")
+      .add("--quantiles", "K", options.calibration_quantiles, "calibration table resolution")
+      .positional("TRACE...", inputs, "raw NodeTrace dumps (marp_cluster's nodeN.trace)");
+  flags.parse(argc, argv);
+  if (inputs.empty()) flags.fail("expected at least one TRACE file");
+  if (out_path.empty() && calibration_path.empty()) {
+    flags.fail("expected --out or --calibration-out");
   }
 
   std::vector<marp::rpc::NodeTrace> traces;
